@@ -18,7 +18,7 @@ event                     milestone
 :class:`ConflictBisected` ddmin isolated one minimal conflicting set
 :class:`ProbeRetry`       a faulted run attempt is about to be retried
 :class:`ProbeFaulted`     a run exhausted its attempts and was quarantined
-:class:`PoolRecovered`    a crashed process pool was rebuilt mid-batch
+:class:`PoolRecovered`    a dead worker's chunk was re-enqueued mid-batch
 :class:`FaultsSummary`    end-of-campaign quarantine list (non-empty only)
 :class:`EngineStatsEvent` the probe engine's final run accounting
 :class:`StoreStatsEvent`  persistent run-cache store state (session-emitted)
@@ -236,11 +236,13 @@ class ProbeFaulted(AnalysisEvent):
 
 @dataclasses.dataclass(frozen=True)
 class PoolRecovered(AnalysisEvent):
-    """A broken process pool was rebuilt mid-batch.
+    """A dead worker lost one chunk mid-batch; its runs were re-enqueued.
 
-    ``lost_runs`` counts the in-flight runs the dead worker took with
-    it that were re-enqueued on the fresh pool (exhausted runs are
-    reported separately as :class:`ProbeFaulted`).
+    Emitted once per lost chunk, for a crashed pool process and a dead
+    fleet worker alike. ``lost_runs`` counts the chunk's runs that
+    were re-enqueued (exhausted runs are reported separately as
+    :class:`ProbeFaulted`); ``rebuilds`` counts the chunks the batch
+    has lost so far.
     """
 
     kind: ClassVar[str] = "pool_recovered"

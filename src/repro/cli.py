@@ -187,8 +187,8 @@ def _check_exec_spec(args: argparse.Namespace, request: AnalysisRequest,
     backend would run it (the command would be silently dropped), and
     prints a note when model-analyzing backends are merely mixed with
     command-running ones (the paper's model-vs-command comparison,
-    meaningful only when both name the same program). Backends whose
-    contract comes through the legacy attribute shim cannot express
+    meaningful only when both name the same program). Backends
+    without a ``capabilities()`` contract cannot express
     ``real_execution``, so they get the benefit of the doubt — no
     refusal, no note — exactly as the pre-contract CLI behaved.
     Resolution failures are left for the main path to report with
@@ -207,7 +207,7 @@ def _check_exec_spec(args: argparse.Namespace, request: AnalysisRequest,
     consuming, modeled, unknown = [], [], []
     for name, target in zip(names, targets):
         if getattr(target.backend, "capabilities", None) is None:
-            unknown.append(name)  # legacy shim: can't express intent
+            unknown.append(name)  # no contract: can't express intent
         elif capabilities_of(target.backend).real_execution:
             consuming.append(name)
         else:

@@ -3,9 +3,8 @@
 The in-memory LRU of :class:`~repro.core.engine.ProbeEngine` amortizes
 run cost *within* one analysis; this package extends that amortization
 *across* campaigns, processes, and — with the SQLite backend —
-concurrent writers. It grew out of the single-file
-:mod:`repro.core.runcache` JSONL store (which remains as a
-compatibility shim) into a small subsystem:
+concurrent writers. It grew out of a single-file JSONL store into a
+small subsystem:
 
 * :mod:`~repro.core.cachestore.base` — the :class:`RunCacheBackend`
   protocol, the shared record codec, :class:`StoreStats` and

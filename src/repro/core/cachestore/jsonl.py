@@ -1,9 +1,9 @@
 """The append-only JSONL run-cache backend.
 
-This is the original :class:`repro.core.runcache.RunCacheStore`,
-byte-compatible with every file it ever wrote: one JSON object per
-line, appended and flushed per record, duplicate keys resolving
-last-writer-wins at load. What the format buys — human-greppable
+This is the original single-file run-cache store, byte-compatible
+with every file it ever wrote: one JSON object per line, appended and
+flushed per record, duplicate keys resolving last-writer-wins at
+load. What the format buys — human-greppable
 files, torn-line crash tolerance for free, O_APPEND interleaving —
 it pays for in growth: superseded records are never reclaimed until
 :meth:`JsonlRunCache.compact` rewrites the file.

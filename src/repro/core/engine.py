@@ -63,9 +63,12 @@ Fault tolerance (:mod:`repro.core.faults`): an engine built with a
 timeout and bounded retries, classifies exhausted runs by the fault
 taxonomy, and — under ``on_fault="degrade"`` — quarantines them as
 :class:`~repro.core.faults.ProbeFault` entries on the outcome instead
-of aborting the campaign. A broken worker pool no longer poisons the
-batch either: the engine rebuilds the shared pool and re-enqueues only
-the lost chunks (bounded by the retry budget).
+of aborting the campaign. A dead worker no longer poisons the batch
+either: the process pool and the remote fleet share one chunk-dispatch
+loop (:meth:`ProbeEngine._dispatch_chunks`), which re-enqueues only
+the runs of each lost chunk (bounded by the retry budget) — the shared
+process pool is rebuilt once per break — and emits one
+:class:`~repro.core.faults.PoolRecoveredNotice` per lost chunk.
 
 Accounting invariant: ``runs_requested`` counts every run a caller
 asked for — including replicas that early exit later skips — so
@@ -354,6 +357,68 @@ def _execute_chunk(
     return results
 
 
+class _ProcessChunkPool:
+    """The shared process pool behind the fabric's chunk-event contract.
+
+    Gives ``ProcessPoolExecutor`` futures the ``FabricExecutor`` event
+    shape (the futures are the chunk ids), so one loop —
+    :meth:`ProbeEngine._dispatch_chunks` — serves both transports. A
+    future raising ``BrokenProcessPool`` (its worker died) is *lost*;
+    any other exception is *failed*. A dead worker breaks the whole
+    pool: the pool's first lost chunk replaces it, its other lost
+    chunks find it replaced, so the pool is rebuilt once per break. A
+    ``submit`` that hits a broken or shut-down pool replaces it too
+    and retries once.
+    """
+
+    def __init__(self, engine: "ProbeEngine") -> None:
+        self._engine = engine
+        self._pool = engine._pool("process")
+        #: In-flight future -> the pool it was submitted to.
+        self._futures: dict[
+            concurrent.futures.Future, concurrent.futures.Executor
+        ] = {}
+
+    def _replace(self, broken: concurrent.futures.Executor) -> None:
+        if broken is self._pool:
+            _replace_broken_process_pool(broken)
+            self._pool = self._engine._pool("process")
+
+    def submit(self, job: tuple) -> concurrent.futures.Future:
+        try:
+            future = self._pool.submit(_execute_chunk, *job)
+        except RuntimeError:
+            # The shared pool was shut down under us, or a worker died
+            # before this chunk was accepted (BrokenProcessPool is a
+            # RuntimeError): retire the dead pool — else the re-fetch
+            # hands back the same one — and retry once on a fresh pool.
+            self._replace(self._pool)
+            future = self._pool.submit(_execute_chunk, *job)
+        self._futures[future] = self._pool
+        return future
+
+    def next_event(self) -> "tuple[str, concurrent.futures.Future, object]":
+        """Block until a chunk completes, fails, or is lost."""
+        done, _ = concurrent.futures.wait(
+            self._futures, return_when=concurrent.futures.FIRST_COMPLETED
+        )
+        future = done.pop()
+        pool = self._futures.pop(future)
+        try:
+            return "done", future, future.result()
+        except concurrent.futures.CancelledError:
+            return "done", future, []  # never ran: its runs count as skipped
+        except BrokenProcessPool as error:
+            self._replace(pool)
+            return "lost", future, error
+        except Exception as error:
+            return "failed", future, error
+
+    def cancel(self) -> None:
+        for future in self._futures:
+            future.cancel()
+
+
 @dataclasses.dataclass(frozen=True)
 class EngineStats:
     """Immutable snapshot of one engine's run accounting.
@@ -527,10 +592,9 @@ class ProbeEngine:
         self._persistent_hits = 0
         self._faulted = 0
         #: id(backend) -> (backend, BackendCapabilities); resolved once
-        #: per backend object, so a legacy backend's shimmed attributes
-        #: (and the accompanying DeprecationWarning) are read once, not
-        #: per run. The backend reference pins the id so a descriptor
-        #: can never be served to a recycled object.
+        #: per backend object, not per run. The backend reference pins
+        #: the id so a descriptor can never be served to a recycled
+        #: object.
         self._capability_cache: dict[
             int, tuple[object, BackendCapabilities]
         ] = {}
@@ -608,9 +672,8 @@ class ProbeEngine:
         """The backend's capability descriptor, resolved once per object.
 
         Memoizing here keeps the hot paths (`_cacheable` runs per
-        scheduled run) off the descriptor resolution — which for
-        legacy backends goes through the attribute shim and its
-        deprecation warning. Cleared on :meth:`reset`.
+        scheduled run) off the descriptor resolution, a call into the
+        backend's ``capabilities()``. Cleared on :meth:`reset`.
         """
         with self._lock:
             cached = self._capability_cache.get(id(backend))
@@ -997,14 +1060,9 @@ class ProbeEngine:
             (probe_index, replica): key
             for probe_index, replica, _policy, key in tasks
         }
-        if mode == "process":
-            self._dispatch_process_chunks(
-                backend, workload, tasks, keys, collected, faulted,
-                failed, early_exit,
-            )
-        elif mode == "remote":
-            self._dispatch_remote_chunks(
-                backend, workload, tasks, keys, collected, faulted,
+        if mode in ("process", "remote"):
+            self._dispatch_chunks(
+                mode, backend, workload, tasks, keys, collected, faulted,
                 failed, early_exit,
             )
         else:
@@ -1141,8 +1199,9 @@ class ProbeEngine:
                 other.cancel()
             raise
 
-    def _dispatch_process_chunks(
+    def _dispatch_chunks(
         self,
+        mode: str,
         backend: ExecutionBackend,
         workload: Workload,
         tasks: Sequence[tuple[int, int, InterpositionPolicy, "CacheKey | None"]],
@@ -1152,129 +1211,96 @@ class ProbeEngine:
         failed: list[bool],
         early_exit: bool,
     ) -> None:
-        """Process sharding: runs ship in contiguous chunks.
+        """Chunk sharding over worker processes (``process``) or a
+        worker fleet (``remote``).
 
-        Chunking amortizes the per-task IPC cost (the backend pickles
-        once per chunk, not once per run) while still cutting the
-        batch finely enough — several chunks per worker — that the
-        pool load-balances. Early exit degrades gracefully to chunk
-        granularity: workers skip the later replicas of probes that
-        fail within their own chunk, and cross-chunk failures simply
-        run to completion (a ``ProcessPoolExecutor`` cannot retract
-        work it has already queued to a child anyway).
+        Both transports run ``_execute_chunk`` jobs behind one event
+        contract — ``submit(job) -> chunk_id``, then ``next_event() ->
+        ("done" | "failed" | "lost", chunk_id, body)`` — so this loop
+        is the one place chunks are cut, rows folded in and lost runs
+        re-enqueued. Chunking pickles the backend once per chunk, not
+        once per run, while several chunks per worker (``parallel``
+        local processes, or the live fleet width) keep the workers
+        load-balanced. Early exit works at chunk granularity: workers
+        skip the later replicas of probes that fail within their own
+        chunk; cross-chunk failures run to completion.
 
-        A dead worker no longer poisons the batch: on
-        ``BrokenProcessPool`` the engine drains the surviving results,
-        retires the broken shared pool, fetches a fresh one, and
-        re-enqueues only the lost runs — as singleton chunks, so a
-        poison run that kills its worker takes no innocent chunk-mates
-        down with it. Each run is re-enqueued at most ``retries + 1``
-        times (one rebuild without a fault policy); beyond that it is
-        a ``worker-crash`` fault — quarantined under degrade, raised
-        otherwise.
+        A chunk that raised (a fail-mode ``ProbeFaultError``, a raw
+        backend error) re-raises here. A chunk whose worker died is
+        *lost*: its runs are re-enqueued as singleton chunks, so a
+        poison run cannot take chunk-mates down with it again. Each
+        run is re-enqueued at most ``retries + 1`` times (once without
+        a fault policy); beyond that it is a ``worker-crash`` fault —
+        quarantined under degrade, raised otherwise.
         """
         if not tasks:
             return
         fault_policy = self.fault_policy
         if fault_policy is not None and not fault_policy.active:
             fault_policy = None
-        pool = self._pool("process")
+        if mode == "remote":
+            transport = self._fabric_client()
+            width = transport.worker_count
+            # Chunks may still be in flight on live workers; dropping
+            # the connection on abort (workers tolerate a scheduler
+            # hangup) keeps their late results from leaking into the
+            # next batch. The next remote dispatch reconnects.
+            abort = self._close_fabric
+            died = "remote worker died on every attempt"
+        else:
+            transport = _ProcessChunkPool(self)
+            width = self.parallel
+            abort = transport.cancel
+            died = "worker process died on every attempt"
         per_chunk = max(
-            1, -(-len(tasks) // (self.parallel * _CHUNKS_PER_WORKER))
+            1, -(-len(tasks) // (max(1, width) * _CHUNKS_PER_WORKER))
         )
-        chunks = [
-            [
-                (probe_index, replica, policy)
-                for probe_index, replica, policy, _key in tasks[start:start + per_chunk]
-            ]
-            for start in range(0, len(tasks), per_chunk)
-        ]
         policies = {
             (probe_index, replica): policy
             for probe_index, replica, policy, _key in tasks
         }
-        #: How often one lost run may be re-enqueued onto a fresh pool.
+        #: How often one lost run may be re-enqueued.
         max_requeues = (fault_policy.retries if fault_policy else 0) + 1
         requeues: dict[tuple[int, int], int] = {}
-        rebuilds = 0
+        lost_chunks = 0
+        inflight: dict[object, list[tuple[int, int, InterpositionPolicy]]] = {}
 
-        def submit(chunk):
-            nonlocal pool
-            try:
-                return pool.submit(
-                    _execute_chunk, backend, workload, chunk, early_exit,
-                    fault_policy,
-                )
-            except RuntimeError:
-                # The shared pool was shut down under us, or a worker
-                # died before this chunk was accepted (BrokenProcessPool
-                # is a RuntimeError): retire the dead pool — else the
-                # re-fetch hands back the same broken one — and retry
-                # once on a fresh pool. Chunks the broken pool had
-                # already accepted surface as lost runs in the wait
-                # loop and are re-enqueued there.
-                _replace_broken_process_pool(pool)
-                pool = self._pool("process")
-                return pool.submit(
-                    _execute_chunk, backend, workload, chunk, early_exit,
-                    fault_policy,
-                )
+        def submit(chunk: list[tuple[int, int, InterpositionPolicy]]) -> None:
+            job = (backend, workload, chunk, early_exit, fault_policy)
+            inflight[transport.submit(job)] = chunk
 
-        def consume(rows) -> None:
-            for probe_index, replica, row in rows:
-                if isinstance(row, ProbeFault):
-                    self._account_fault(row)
-                    faulted[probe_index][replica] = row
-                    continue
-                self._record(
-                    keys[(probe_index, replica)], row,
-                    policies[(probe_index, replica)],
-                )
-                collected[probe_index][replica] = row
-                if early_exit and not row.success:
-                    failed[probe_index] = True
-
-        futures = {submit(chunk): chunk for chunk in chunks}
         try:
-            while futures:
-                done, _ = concurrent.futures.wait(
-                    futures, return_when=concurrent.futures.FIRST_COMPLETED
-                )
-                lost: list[tuple[int, int, InterpositionPolicy]] = []
-                pool_error: "BaseException | None" = None
-                for future in done:
-                    chunk = futures.pop(future)
-                    try:
-                        rows = future.result()
-                    except concurrent.futures.CancelledError:
-                        continue
-                    except BrokenProcessPool as error:
-                        lost.extend(chunk)
-                        pool_error = error
-                        continue
-                    consume(rows)
-                if pool_error is None:
+            for start in range(0, len(tasks), per_chunk):
+                submit([
+                    (probe_index, replica, policy)
+                    for probe_index, replica, policy, _key
+                    in tasks[start:start + per_chunk]
+                ])
+            while inflight:
+                event, chunk_id, body = transport.next_event()
+                chunk = inflight.pop(chunk_id, None)
+                if chunk is None:
                     continue
-                # The pool is broken, which dooms every remaining
-                # future with it. Drain them all now — survivors that
-                # completed before the break keep their results — so
-                # the pool is rebuilt exactly once per break.
-                for future, chunk in list(futures.items()):
-                    try:
-                        rows = future.result()
-                    except (
-                        BrokenProcessPool,
-                        concurrent.futures.CancelledError,
-                    ):
-                        lost.extend(chunk)
-                    else:
-                        consume(rows)
-                futures.clear()
-                rebuilds += 1
-                _replace_broken_process_pool(pool)
-                pool = self._pool("process")
+                if event == "done":
+                    for probe_index, replica, row in body:
+                        if isinstance(row, ProbeFault):
+                            self._account_fault(row)
+                            faulted[probe_index][replica] = row
+                            continue
+                        self._record(
+                            keys[(probe_index, replica)], row,
+                            policies[(probe_index, replica)],
+                        )
+                        collected[probe_index][replica] = row
+                        if early_exit and not row.success:
+                            failed[probe_index] = True
+                    continue
+                if event == "failed":
+                    raise body
+                # "lost": the worker died holding this chunk.
+                lost_chunks += 1
                 requeued = 0
-                for probe_index, replica, policy in lost:
+                for probe_index, replica, policy in chunk:
                     if (
                         replica in collected[probe_index]
                         or replica in faulted[probe_index]
@@ -1286,8 +1312,7 @@ class ProbeEngine:
                         requeued += 1
                         # Singleton chunk: isolate the potential poison
                         # run so it cannot take chunk-mates down again.
-                        task = (probe_index, replica, policy)
-                        futures[submit([task])] = [task]
+                        submit([(probe_index, replica, policy)])
                         continue
                     fault = ProbeFault(
                         workload=workload.name,
@@ -1295,141 +1320,15 @@ class ProbeEngine:
                         replica=replica,
                         kind=FAULT_WORKER_CRASH,
                         attempts=count + 1,
-                        detail="worker process died on every attempt",
-                    )
-                    self._account_fault(fault)
-                    if fault_policy is None or not fault_policy.degrade:
-                        raise ProbeFaultError(fault) from pool_error
-                    faulted[probe_index][replica] = fault
-                self._notify(PoolRecoveredNotice(
-                    lost_runs=requeued, rebuilds=rebuilds,
-                ))
-        except BaseException:
-            for other in futures:
-                other.cancel()
-            raise
-
-    def _dispatch_remote_chunks(
-        self,
-        backend: ExecutionBackend,
-        workload: Workload,
-        tasks: Sequence[tuple[int, int, InterpositionPolicy, "CacheKey | None"]],
-        keys: dict[tuple[int, int], "CacheKey | None"],
-        collected: list[dict[int, RunResult]],
-        faulted: list[dict[int, ProbeFault]],
-        failed: list[bool],
-        early_exit: bool,
-    ) -> None:
-        """Fleet sharding: process chunking with the pipe replaced by TCP.
-
-        Chunks are the same ``_execute_chunk`` jobs the process pool
-        ships, sized to the *fleet* width (chunks per worker, not per
-        local thread). The failure contract mirrors the process path
-        one-for-one: a worker that dies — SIGKILL, network partition,
-        heartbeat silence — surfaces its chunk as *lost*, and the lost
-        runs are re-enqueued on the survivors as singleton chunks
-        under the same ``retries + 1`` budget; beyond it they become
-        ``worker-crash`` faults (quarantined under degrade, raised
-        otherwise). A chunk whose execution *itself* raised re-raises
-        here exactly as a process future would.
-        """
-        if not tasks:
-            return
-        fault_policy = self.fault_policy
-        if fault_policy is not None and not fault_policy.active:
-            fault_policy = None
-        fabric = self._fabric_client()
-        width = max(1, fabric.worker_count)
-        per_chunk = max(1, -(-len(tasks) // (width * _CHUNKS_PER_WORKER)))
-        chunks = [
-            [
-                (probe_index, replica, policy)
-                for probe_index, replica, policy, _key in tasks[start:start + per_chunk]
-            ]
-            for start in range(0, len(tasks), per_chunk)
-        ]
-        policies = {
-            (probe_index, replica): policy
-            for probe_index, replica, policy, _key in tasks
-        }
-        max_requeues = (fault_policy.retries if fault_policy else 0) + 1
-        requeues: dict[tuple[int, int], int] = {}
-        deaths = 0
-
-        def consume(rows) -> None:
-            for probe_index, replica, row in rows:
-                if isinstance(row, ProbeFault):
-                    self._account_fault(row)
-                    faulted[probe_index][replica] = row
-                    continue
-                self._record(
-                    keys[(probe_index, replica)], row,
-                    policies[(probe_index, replica)],
-                )
-                collected[probe_index][replica] = row
-                if early_exit and not row.success:
-                    failed[probe_index] = True
-
-        inflight: dict[int, list] = {}
-        try:
-            for chunk in chunks:
-                job = (backend, workload, chunk, early_exit, fault_policy)
-                inflight[fabric.submit(job)] = chunk
-            while inflight:
-                event, chunk_id, body = fabric.next_event()
-                chunk = inflight.pop(chunk_id, None)
-                if chunk is None:
-                    continue
-                if event == "done":
-                    consume(body)
-                    continue
-                if event == "failed":
-                    # The chunk executed and raised (a fail-mode
-                    # ProbeFaultError, a raw backend error): same
-                    # propagation as ``future.result()``.
-                    raise body
-                # "lost": the worker died holding this chunk.
-                deaths += 1
-                requeued = 0
-                for probe_index, replica, policy in chunk:
-                    if (
-                        replica in collected[probe_index]
-                        or replica in faulted[probe_index]
-                    ):
-                        continue
-                    count = requeues.get((probe_index, replica), 0)
-                    if count < max_requeues:
-                        requeues[(probe_index, replica)] = count + 1
-                        requeued += 1
-                        # Singleton chunk, exactly like the process
-                        # path: a poison run cannot take chunk-mates
-                        # down twice.
-                        task = (probe_index, replica, policy)
-                        job = (
-                            backend, workload, [task], early_exit,
-                            fault_policy,
-                        )
-                        inflight[fabric.submit(job)] = [task]
-                        continue
-                    fault = ProbeFault(
-                        workload=workload.name,
-                        probe=policy.describe(),
-                        replica=replica,
-                        kind=FAULT_WORKER_CRASH,
-                        attempts=count + 1,
-                        detail="remote worker died on every attempt",
+                        detail=died,
                     )
                     self._account_fault(fault)
                     if fault_policy is None or not fault_policy.degrade:
                         raise ProbeFaultError(fault) from body
                     faulted[probe_index][replica] = fault
                 self._notify(PoolRecoveredNotice(
-                    lost_runs=requeued, rebuilds=deaths,
+                    lost_runs=requeued, rebuilds=lost_chunks,
                 ))
         except BaseException:
-            # Chunks may still be in flight on live workers; dropping
-            # the connection now (workers tolerate a scheduler hangup)
-            # keeps their late results from leaking into the next
-            # batch. The next remote dispatch reconnects.
-            self._close_fabric()
+            abort()
             raise

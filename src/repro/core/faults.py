@@ -393,7 +393,13 @@ class FaultNotice:
 
 @dataclasses.dataclass(frozen=True)
 class PoolRecoveredNotice:
-    """A broken worker pool was rebuilt and lost chunks re-enqueued."""
+    """A dead worker lost one chunk; its runs were re-enqueued.
+
+    Emitted once per lost chunk, by the process pool and the remote
+    fleet alike. ``lost_runs`` counts the chunk's runs re-enqueued
+    (exhausted ones become ``worker-crash`` faults instead);
+    ``rebuilds`` counts the chunks this batch has lost so far.
+    """
 
     lost_runs: int
     rebuilds: int = 1

@@ -16,6 +16,15 @@ from repro.appsim.corpus import cloud_apps, corpus, seven_apps
 from repro.core.analyzer import Analyzer, AnalyzerConfig
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: a long-running test (seconds, not milliseconds)"
+    )
+    config.addinivalue_line(
+        "markers", "ptrace: needs a working ptrace; skipped where it is not"
+    )
+
+
 def pytest_collection_modifyitems(config, items):
     from repro.ptracer.ctypes_bindings import ptrace_works
 

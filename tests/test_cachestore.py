@@ -403,10 +403,3 @@ class TestSessionIntegration:
     def test_config_rejects_nonpositive_max_entries(self):
         with pytest.raises(ValueError, match="run_cache_max_entries"):
             AnalyzerConfig(run_cache_max_entries=0)
-
-
-class TestRuncacheShim:
-    def test_legacy_import_is_jsonl_backend(self):
-        from repro.core.runcache import RunCacheStore
-
-        assert RunCacheStore is JsonlRunCache

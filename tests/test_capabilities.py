@@ -81,18 +81,6 @@ class TestBuiltinContracts:
 
 
 class TestLegacyShim:
-    def test_legacy_attributes_synthesize_descriptor_and_warn(self):
-        class _Legacy:
-            name = "legacy"
-            deterministic = True
-            parallel_safe = True
-
-        with pytest.warns(DeprecationWarning, match="capabilities"):
-            caps = capabilities_of(_Legacy())
-        assert caps == BackendCapabilities(
-            deterministic=True, parallel_safe=True
-        )
-
     def test_undeclared_backend_gets_no_capabilities_silently(self):
         class _Bare:
             name = "bare"
@@ -180,7 +168,7 @@ class TestEngineIntegration:
 
     def test_no_capability_sniffing_outside_the_shim(self):
         """The acceptance gate: getattr-style capability sniffing may
-        exist only inside the legacy shim (capabilities_of)."""
+        exist only inside capabilities_of (runner.py)."""
         import pathlib
         import re
 
@@ -275,12 +263,11 @@ class TestEngineIntegration:
             Analyzer(AnalyzerConfig(pseudo_files=True)).analyze(
                 app.backend(), app.workload("health")
             )
-        # Legacy-shim backends get the benefit of the doubt: the shim
-        # cannot express supports_*, so no misleading warning fires.
+        # Backends without a capabilities() contract get the benefit
+        # of the doubt: they declared nothing, so no misleading
+        # warning fires.
         class Legacy:
             name = backend.name
-            deterministic = True
-            parallel_safe = True
 
             def run(self, workload, policy, *, replica=0):
                 return backend.run(workload, policy, replica=replica)

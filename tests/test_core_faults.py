@@ -21,12 +21,14 @@ Covers the robustness layer end to end:
 """
 
 import argparse
+import concurrent.futures
 import dataclasses
 import json
 import pickle
 import sqlite3
 import time
 from collections import Counter
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 from hypothesis import given, settings
@@ -59,11 +61,13 @@ from repro.core.cachestore import (
 )
 from repro.core.cachestore import sqlite as sqlite_store
 from repro.core.decisions import Verdict
+from repro.core import engine as engine_module
 from repro.core.engine import ProbeEngine
 from repro.core.faults import (
     FAULT_BACKEND_ERROR,
     FAULT_TIMEOUT,
     FAULT_TORN_RESULT,
+    FAULT_WORKER_CRASH,
     ChaosBackend,
     ChaosError,
     ChaosSpec,
@@ -506,7 +510,19 @@ class TestChaosCampaignAcrossExecutors:
 
 
 class TestWorkerCrashRecovery:
-    def test_crash_recovered_without_losing_or_doubling_runs(self, tmp_path):
+    def test_crash_recovered_without_losing_or_doubling_runs(
+        self, tmp_path, monkeypatch
+    ):
+        replaced = []
+        real_replace = engine_module._replace_broken_process_pool
+
+        def counting_replace(pool):
+            replaced.append(pool)
+            real_replace(pool)
+
+        monkeypatch.setattr(
+            engine_module, "_replace_broken_process_pool", counting_replace
+        )
         app = build("redis")
         spec = ChaosSpec(
             seed=1,
@@ -530,6 +546,9 @@ class TestWorkerCrashRecovery:
             )
             stats = engine.stats
         assert (tmp_path / "crashed").exists()
+        # One break, one rebuild: however many chunks the dead pool
+        # doomed, only the first lost one replaces it.
+        assert len(replaced) == 1
         recoveries = [
             n for n in notices if isinstance(n, PoolRecoveredNotice)
         ]
@@ -549,6 +568,88 @@ class TestWorkerCrashRecovery:
         assert [r.to_dict() for r in outcome.results] == [
             r.to_dict() for r in serial.results
         ]
+
+    def test_one_break_rebuilds_the_pool_once(self, monkeypatch):
+        """Every chunk a dead pool held comes back lost; the first one
+        replaces the pool, the rest find it already replaced."""
+
+        class _DeadPool:
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_exception(BrokenProcessPool("worker died"))
+                return future
+
+        pools = []
+
+        def fresh_pool(kind):
+            pools.append(_DeadPool())
+            return pools[-1]
+
+        replaced = []
+        monkeypatch.setattr(
+            engine_module, "_replace_broken_process_pool", replaced.append
+        )
+        engine = ProbeEngine(parallel=2, executor="process")
+        monkeypatch.setattr(engine, "_pool", fresh_pool)
+        transport = engine_module._ProcessChunkPool(engine)
+        chunks = [transport.submit(("job", index)) for index in range(3)]
+        events = [transport.next_event() for _ in chunks]
+        assert [event for event, _, _ in events] == ["lost"] * 3
+        assert {chunk_id for _, chunk_id, _ in events} == set(chunks)
+        assert replaced == [pools[0]]
+        assert len(pools) == 2
+
+    @staticmethod
+    def _always_crashing(on_fault, notices=None):
+        """Two replicas of a probe whose worker dies on every attempt."""
+        app = build("redis")
+        spec = ChaosSpec(seed=1, crash_features=frozenset({"futex"}))
+        with ProbeEngine(
+            parallel=2,
+            executor="process",
+            cache=False,
+            fault_policy=FaultPolicy(
+                retries=1, retry_backoff_s=0.0, on_fault=on_fault,
+            ),
+            on_notice=None if notices is None else notices.append,
+        ) as engine:
+            outcome = engine.run_replicas(
+                ChaosBackend(app.backend(), spec),
+                app.workload("health"),
+                stubbing("futex"), 2, early_exit=False,
+            )
+            return outcome, engine.stats
+
+    def test_crash_on_every_attempt_degrades_to_worker_crash(self):
+        notices = []
+        outcome, stats = self._always_crashing("degrade", notices)
+        assert not outcome.results
+        assert [fault.replica for fault in outcome.faults] == [0, 1]
+        for fault in outcome.faults:
+            assert fault.kind == FAULT_WORKER_CRASH
+            # The first attempt plus retries + 1 re-enqueues.
+            assert fault.attempts == 3
+            assert fault.detail == "worker process died on every attempt"
+        assert stats.faulted == 2
+        assert stats.runs_requested == (
+            stats.runs_executed + stats.cache_hits
+            + stats.replicas_skipped + stats.faulted
+        )
+        # One notice per lost chunk, counting the losses so far.
+        recoveries = [
+            n for n in notices if isinstance(n, PoolRecoveredNotice)
+        ]
+        assert [n.rebuilds for n in recoveries] == list(
+            range(1, len(recoveries) + 1)
+        )
+
+    def test_crash_on_every_attempt_fails_under_fail_policy(self):
+        with pytest.raises(ProbeFaultError) as excinfo:
+            self._always_crashing("fail")
+        assert excinfo.value.fault.kind == FAULT_WORKER_CRASH
+        assert excinfo.value.fault.detail == (
+            "worker process died on every attempt"
+        )
 
 
 class TestUndecidedVerdictFlow:

@@ -37,7 +37,7 @@ from repro.appsim.program import SimProgram, SyscallOp, WorkloadProfile
 from repro.core.analyzer import Analyzer, AnalyzerConfig
 from repro.core.engine import ProbeEngine
 from repro.core.policy import stubbing
-from repro.core.runner import process_shardable
+from repro.core.runner import BackendCapabilities, process_shardable
 from repro.core.workload import benchmark, health_check
 from repro.db import Database
 from repro.fabric.worker import FabricWorker
@@ -169,7 +169,6 @@ class TestCapabilityFallback:
 
         class _Unsafe:
             name = "sim:unsafe"
-            deterministic = False
 
             def __init__(self):
                 self.calls = 0
@@ -205,10 +204,13 @@ class TestCapabilityFallback:
             def __init__(self, inner):
                 self._inner = inner
                 self.name = inner.name
-                self.deterministic = True
-                self.parallel_safe = True
-                self.process_safe = True
                 self._poison = lambda: None  # unpicklable on purpose
+
+            def capabilities(self):
+                return BackendCapabilities(
+                    deterministic=True, parallel_safe=True,
+                    process_safe=True,
+                )
 
             def run(self, workload, policy, *, replica=0):
                 return self._inner.run(workload, policy, replica=replica)

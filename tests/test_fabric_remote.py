@@ -12,6 +12,8 @@ unreachable.
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import json
 
 import pytest
@@ -200,6 +202,62 @@ class TestLostChunkReenqueue:
                     )
             if isinstance(excinfo.value, ProbeFaultError):
                 assert excinfo.value.fault.kind == FAULT_WORKER_CRASH
+
+    @staticmethod
+    def _dropping_fleet(on_fault, replicas, notices=None):
+        """Probe replicas on a fleet whose every worker dies holding
+        its first chunk, with enough workers that each run can be
+        lost on all of its attempts before the fleet runs dry."""
+        app = build("redis")
+        # Each run gets the first attempt plus retries + 1 re-enqueues.
+        attempts = _RECOVERY_POLICY.retries + 2
+        with contextlib.ExitStack() as stack:
+            workers = [
+                stack.enter_context(_flaky_worker(_DropAfterAckHandler))
+                for _ in range(attempts * replicas)
+            ]
+            with ProbeEngine(
+                parallel=2, executor="remote",
+                workers=tuple(worker.address for worker in workers),
+                cache=False,
+                fault_policy=dataclasses.replace(
+                    _RECOVERY_POLICY, on_fault=on_fault
+                ),
+                on_notice=None if notices is None else notices.append,
+            ) as engine:
+                outcome = engine.run_replicas(
+                    app.backend(), app.workload("health"),
+                    stubbing("futex"), replicas, early_exit=False,
+                )
+                return outcome, engine.stats
+
+    def test_lost_on_every_attempt_degrades_to_worker_crash(self):
+        notices = []
+        outcome, stats = self._dropping_fleet("degrade", 2, notices)
+        assert not outcome.results
+        assert [fault.replica for fault in outcome.faults] == [0, 1]
+        for fault in outcome.faults:
+            assert fault.kind == FAULT_WORKER_CRASH
+            assert fault.attempts == _RECOVERY_POLICY.retries + 2
+            assert fault.detail == "remote worker died on every attempt"
+        assert stats.faulted == 2
+        assert stats.runs_requested == (
+            stats.runs_executed + stats.cache_hits
+            + stats.replicas_skipped + stats.faulted
+        )
+        # One notice per lost chunk: two runs, three losses each.
+        recoveries = [
+            n for n in notices if isinstance(n, PoolRecoveredNotice)
+        ]
+        assert [n.rebuilds for n in recoveries] == list(range(1, 7))
+
+    def test_lost_on_every_attempt_fails_under_fail_policy(self):
+        with pytest.raises(ProbeFaultError) as excinfo:
+            self._dropping_fleet("fail", 1)
+        assert excinfo.value.fault.kind == FAULT_WORKER_CRASH
+        assert excinfo.value.fault.detail == (
+            "remote worker died on every attempt"
+        )
 
     def test_silent_worker_is_presumed_dead(self):
         app = build("redis")
