@@ -263,15 +263,6 @@ def _print_analysis(result) -> None:
         print("WARNING: final combined run failed; conflicts:", result.conflicts)
 
 
-def _parse_workers(spec: "str | None") -> tuple:
-    """The --workers comma list as a tuple of 'host:port' addresses."""
-    if not spec:
-        return ()
-    return tuple(
-        part.strip() for part in spec.split(",") if part.strip()
-    )
-
-
 def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.no_cache and args.run_cache:
         print("--run-cache requires run memoization; drop --no-cache",
@@ -290,13 +281,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
               "(start them with: loupe worker --port PORT)",
               file=sys.stderr)
         return 2
+    from repro.fabric.executor import parse_worker_list
+
     config = AnalyzerConfig(
         replicas=args.replicas,
         subfeature_level=args.subfeatures,
         pseudo_files=args.pseudofiles,
         parallel=args.jobs,
         executor=args.executor,
-        workers=_parse_workers(args.workers),
+        workers=parse_worker_list(args.workers),
         cache=not args.no_cache,
         run_cache=args.run_cache,
         run_cache_max_entries=args.run_cache_max_entries,
@@ -377,13 +370,15 @@ def _cmd_compare(args: argparse.Namespace) -> int:
               "(start them with: loupe worker --port PORT)",
               file=sys.stderr)
         return 2
+    from repro.fabric.executor import parse_worker_list
+
     config = AnalyzerConfig(
         replicas=args.replicas,
         subfeature_level=args.subfeatures,
         pseudo_files=args.pseudofiles,
         parallel=args.jobs,
         executor=args.executor,
-        workers=_parse_workers(args.workers),
+        workers=parse_worker_list(args.workers),
         probe_timeout_s=args.probe_timeout,
         retries=args.retries,
         retry_backoff_s=args.retry_backoff,

@@ -18,9 +18,6 @@ small subsystem:
   HTTP client for the campaign server's ``/cache`` surface: one
   store shared by a whole worker fleet, with cross-process
   single-flight claims de-duplicating concurrent misses;
-* :mod:`~repro.core.cachestore.singleflight` — the in-process form of
-  that claim protocol, :class:`SingleFlightStore`, wrapping any local
-  backend for ``analyze_many(jobs=N)`` thread fleets;
 * :mod:`~repro.core.cachestore.factory` — :func:`open_store` (scheme
   and extension aware) and :func:`migrate_store` (jsonl → sqlite
   upgrade path);
@@ -64,7 +61,6 @@ from repro.core.cachestore.factory import (
 )
 from repro.core.cachestore.jsonl import JsonlRunCache
 from repro.core.cachestore.remote import RemoteRunCache
-from repro.core.cachestore.singleflight import SingleFlightStore
 from repro.core.cachestore.sqlite import SqliteRunCache
 
 __all__ = [
@@ -74,7 +70,6 @@ __all__ = [
     "RemoteRunCache",
     "RunCacheBackend",
     "SQLITE_SUFFIXES",
-    "SingleFlightStore",
     "SqliteRunCache",
     "StoreKey",
     "StoreStats",

@@ -18,6 +18,16 @@ are all about distrust of the transport:
   same retry budget the process pool uses, so a SIGKILLed worker costs
   wall-clock, never correctness.
 
+The executor starts no thread. The one scheduling thread that calls
+:meth:`~FabricExecutor.submit` and :meth:`~FabricExecutor.next_event`
+also reads every worker link, through one selector: ``next_event``
+waits until a link is readable or the earliest silence deadline
+passes, and reads one frame per ready link. A :class:`FabricExecutor`
+is therefore driven by one scheduling thread; it holds no locks, and
+concurrent dispatch from several threads is unsupported. Nothing ever
+blocks on a link outside those calls, so :meth:`~FabricExecutor.close`
+returns at once.
+
 Events from :meth:`FabricExecutor.next_event`:
 
 ``("done", chunk_id, rows)``
@@ -32,9 +42,9 @@ Events from :meth:`FabricExecutor.next_event`:
 from __future__ import annotations
 
 import itertools
-import queue
+import selectors
 import socket
-import threading
+import time
 from collections import deque
 
 from repro.errors import LoupeError
@@ -47,7 +57,6 @@ from repro.fabric.protocol import (
     KIND_RESULT,
     KIND_WELCOME,
     FabricProtocolError,
-    decode_ack,
     decode_error,
     decode_result,
     decode_welcome,
@@ -83,28 +92,35 @@ def parse_worker_address(spec: str) -> "tuple[str, int]":
         ) from None
 
 
-class _WorkerLink:
-    """One connected worker: socket, identity, and slot state."""
+def parse_worker_list(workers) -> "tuple[str, ...]":
+    """A ``host:port,...`` string, or an iterable of addresses, as a
+    tuple of addresses; blanks around and between entries are dropped."""
+    if not workers:
+        return ()
+    if isinstance(workers, str):
+        workers = workers.split(",")
+    return tuple(
+        address for address in (str(part).strip() for part in workers)
+        if address
+    )
 
-    def __init__(self, addr: str, sock: socket.socket, reader, welcome: dict) -> None:
+
+class _WorkerLink:
+    """One connected worker: socket, unbuffered reader, slot state."""
+
+    def __init__(self, addr: str, sock: socket.socket) -> None:
         self.addr = addr
         self.sock = sock
-        # The handshake already read from this buffered reader; reusing
-        # it (rather than opening a fresh makefile) keeps any bytes it
-        # buffered past the WELCOME frame — an eager heartbeat, say.
-        self.reader = reader
-        self.welcome = welcome
-        self.worker_id = welcome.get("worker_id") or addr
-        self.write_lock = threading.Lock()
+        # Unbuffered, so a read takes exactly one frame's bytes: frames
+        # left behind stay in the kernel, where the selector sees them.
+        self.reader = sock.makefile("rb", buffering=0)
         self.busy_chunk: "int | None" = None
-        self.acked = False
         self.alive = True
-
-    def send(self, frame: bytes) -> None:
-        with self.write_lock:
-            self.sock.sendall(frame)
+        self.last_frame = time.monotonic()
 
     def close(self) -> None:
+        # The reader holds a reference to the socket: the descriptor is
+        # only released once both are closed.
         for closer in (self.reader.close, self.sock.close):
             try:
                 closer()
@@ -113,7 +129,10 @@ class _WorkerLink:
 
 
 class FabricExecutor:
-    """A chunk scheduler over a fleet of ``loupe worker`` processes."""
+    """A chunk scheduler over a fleet of ``loupe worker`` processes.
+
+    Driven by one scheduling thread (see the module docstring).
+    """
 
     def __init__(
         self,
@@ -122,7 +141,7 @@ class FabricExecutor:
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT_S,
         dead_after_s: float = DEFAULT_DEAD_AFTER_S,
     ) -> None:
-        self.addresses = tuple(str(w).strip() for w in workers if str(w).strip())
+        self.addresses = parse_worker_list(workers)
         if not self.addresses:
             raise FabricConnectionError(
                 "the remote executor needs at least one worker address "
@@ -130,12 +149,11 @@ class FabricExecutor:
             )
         self.connect_timeout = connect_timeout
         self.dead_after_s = dead_after_s
-        self._events: "queue.Queue" = queue.Queue()
+        self._selector: "selectors.BaseSelector | None" = None
         self._links: "list[_WorkerLink]" = []
         self._pending: "deque[tuple[int, bytes]]" = deque()
         self._inflight: "dict[int, _WorkerLink]" = {}
         self._ids = itertools.count(1)
-        self._lock = threading.Lock()
         self._connected = False
         #: ``addr -> error`` for workers that never joined the fleet.
         self.connect_errors: "dict[str, Exception]" = {}
@@ -147,12 +165,14 @@ class FabricExecutor:
         if self._connected:
             return self
         self._connected = True
+        self._selector = selectors.DefaultSelector()
         for addr in self.addresses:
             try:
                 self._connect_one(addr)
             except (OSError, FabricProtocolError) as error:
                 self.connect_errors[addr] = error
         if not self._links:
+            self.close()
             details = "; ".join(
                 f"{addr}: {error}" for addr, error in self.connect_errors.items()
             )
@@ -165,11 +185,11 @@ class FabricExecutor:
     def _connect_one(self, addr: str) -> None:
         host, port = parse_worker_address(addr)
         sock = socket.create_connection((host, port), timeout=self.connect_timeout)
+        link = _WorkerLink(addr, sock)
         try:
             sock.settimeout(self.dead_after_s)
             sock.sendall(encode_frame(KIND_HELLO, hello_payload()))
-            reader = sock.makefile("rb")
-            frame = read_frame(reader)
+            frame = read_frame(link.reader)
             if frame is None:
                 raise FabricProtocolError(
                     f"worker {addr} hung up during the handshake"
@@ -185,169 +205,146 @@ class FabricExecutor:
                     f"worker {addr} answered frame kind {kind}, "
                     f"not WELCOME"
                 )
-            welcome = decode_welcome(payload)
-            if not welcome["capabilities"].process_safe:
+            if not decode_welcome(payload)["capabilities"].process_safe:
                 raise FabricProtocolError(
                     f"worker {addr} does not declare process_safe "
                     f"execution; it cannot honor pickled chunks"
                 )
         except Exception:
-            sock.close()
+            link.close()
             raise
-        link = _WorkerLink(addr, sock, reader, welcome)
         self._links.append(link)
-        pump = threading.Thread(
-            target=self._pump, args=(link,), daemon=True,
-            name=f"loupe-fabric-pump-{addr}",
-        )
-        pump.start()
+        self._selector.register(sock, selectors.EVENT_READ, link)
 
-    def _pump(self, link: _WorkerLink) -> None:
-        """Reader thread: every frame (or death) becomes a queue event."""
-        while True:
-            try:
-                frame = read_frame(link.reader)
-            except socket.timeout:
-                self._events.put(("down", link, FabricConnectionError(
-                    f"worker {link.addr} went silent for "
-                    f"{self.dead_after_s:g}s (presumed dead)"
-                )))
-                return
-            except (OSError, ValueError, FabricProtocolError) as error:
-                self._events.put(("down", link, FabricConnectionError(
-                    f"worker {link.addr} connection broke: {error}"
-                )))
-                return
-            if frame is None:
-                self._events.put(("down", link, FabricConnectionError(
-                    f"worker {link.addr} closed the connection"
-                )))
-                return
-            self._events.put(("frame", link, frame[0], frame[1]))
+    def _retire(self, link: _WorkerLink) -> None:
+        """Stop watching *link* and release its descriptors."""
+        if link.alive:
+            link.alive = False
+            self._selector.unregister(link.sock)
+            link.close()
 
     # -- scheduling --------------------------------------------------------
 
     @property
     def worker_count(self) -> int:
-        with self._lock:
-            return sum(1 for link in self._links if link.alive)
-
-    def chunks_in_flight(self) -> int:
-        with self._lock:
-            return len(self._inflight) + len(self._pending)
+        return sum(1 for link in self._links if link.alive)
 
     def submit(self, job: object) -> int:
         """Queue one ``_execute_chunk`` job; returns its chunk id."""
         self.connect()
-        with self._lock:
-            if not any(link.alive for link in self._links):
-                raise FabricConnectionError(
-                    "every fabric worker has died; cannot place chunks"
-                )
-            chunk_id = next(self._ids)
-            frame = encode_frame(KIND_CHUNK, encode_chunk(chunk_id, job))
-            self._place(chunk_id, frame)
+        if not any(link.alive for link in self._links):
+            raise FabricConnectionError(
+                "every fabric worker has died; cannot place chunks"
+            )
+        chunk_id = next(self._ids)
+        frame = encode_frame(KIND_CHUNK, encode_chunk(chunk_id, job))
+        for link in self._links:
+            if self._assign(link, chunk_id, frame):
+                return chunk_id
+        self._pending.append((chunk_id, frame))
         return chunk_id
 
-    def _place(self, chunk_id: int, frame: bytes) -> None:
-        """Assign to an idle live worker or queue. Caller holds the lock."""
-        for link in self._links:
-            if link.alive and link.busy_chunk is None:
-                link.busy_chunk = chunk_id
-                link.acked = False
-                self._inflight[chunk_id] = link
-                try:
-                    link.send(frame)
-                except OSError:
-                    # The pump thread will also notice; retire the link
-                    # here so the chunk moves on immediately.
-                    link.alive = False
-                    link.busy_chunk = None
-                    self._inflight.pop(chunk_id, None)
-                    link.close()
-                    continue
-                return
-        self._pending.append((chunk_id, frame))
+    def _assign(self, link: _WorkerLink, chunk_id: int, frame: bytes) -> bool:
+        """Send the chunk to *link* if it is live and idle. A send that
+        fails retires the link, so the chunk can move on at once."""
+        if not link.alive or link.busy_chunk is not None:
+            return False
+        try:
+            link.sock.sendall(frame)
+        except OSError:
+            self._retire(link)
+            return False
+        link.busy_chunk = chunk_id
+        self._inflight[chunk_id] = link
+        return True
 
     def _drain_pending(self, link: _WorkerLink) -> None:
         """Hand the freed *link* the oldest queued chunk, if any."""
-        while self._pending and link.alive and link.busy_chunk is None:
-            chunk_id, frame = self._pending.popleft()
-            link.busy_chunk = chunk_id
-            link.acked = False
-            self._inflight[chunk_id] = link
-            try:
-                link.send(frame)
-            except OSError:
-                link.alive = False
-                link.busy_chunk = None
-                self._inflight.pop(chunk_id, None)
-                link.close()
-                self._pending.appendleft((chunk_id, frame))
-                return
+        if self._pending and self._assign(link, *self._pending[0]):
+            self._pending.popleft()
 
     def next_event(self) -> "tuple[str, int, object]":
         """Block until a chunk completes, fails, or is lost."""
         while True:
-            with self._lock:
-                if not any(link.alive for link in self._links):
-                    if self._inflight or self._pending:
-                        raise FabricConnectionError(
-                            "every fabric worker has died with chunks "
-                            "outstanding"
-                        )
-            item = self._events.get()
-            if item[0] == "down":
-                event = self._worker_down(item[1], item[2])
-                if event is not None:
-                    return event
-                continue
-            _, link, kind, payload = item
-            if kind == KIND_HEARTBEAT:
-                continue
-            if kind == KIND_ACK:
-                chunk_id = decode_ack(payload)
-                with self._lock:
-                    if link.busy_chunk == chunk_id:
-                        link.acked = True
-                continue
-            if kind in (KIND_RESULT, KIND_ERROR):
-                decode = decode_result if kind == KIND_RESULT else decode_error
-                chunk_id, body = decode(payload)
-                with self._lock:
-                    owner = self._inflight.pop(chunk_id, None)
-                    if link.busy_chunk == chunk_id:
-                        link.busy_chunk = None
-                        link.acked = False
-                    self._drain_pending(link)
-                if owner is None:
-                    continue  # stale frame for a chunk already written off
-                label = "done" if kind == KIND_RESULT else "failed"
-                return label, chunk_id, body
-            # Anything else after the handshake is a protocol breach;
-            # treat the worker as gone rather than guessing.
-            event = self._worker_down(link, FabricProtocolError(
-                f"worker {link.addr} sent unexpected frame kind {kind}"
+            live = [link for link in self._links if link.alive]
+            if not live and (self._inflight or self._pending):
+                raise FabricConnectionError(
+                    "every fabric worker has died with chunks "
+                    "outstanding"
+                )
+            timeout = None
+            if live:
+                deadline = min(link.last_frame for link in live)
+                timeout = max(
+                    0.0, deadline + self.dead_after_s - time.monotonic()
+                )
+            # Ready links are read before any deadline is judged: after
+            # a pause between batches, the heartbeats buffered meanwhile
+            # prove a worker alive.
+            for key, _ in self._selector.select(timeout):
+                if key.data.alive:
+                    event = self._read(key.data)
+                    if event is not None:
+                        return event
+            now = time.monotonic()
+            for link in live:
+                if link.alive and now - link.last_frame >= self.dead_after_s:
+                    event = self._worker_down(link, self._silence(link))
+                    if event is not None:
+                        return event
+
+    def _silence(self, link: _WorkerLink) -> FabricConnectionError:
+        return FabricConnectionError(
+            f"worker {link.addr} went silent for "
+            f"{self.dead_after_s:g}s (presumed dead)"
+        )
+
+    def _read(self, link: _WorkerLink):
+        """Read and handle one frame from a readable *link*."""
+        try:
+            frame = read_frame(link.reader)
+        except socket.timeout:
+            return self._worker_down(link, self._silence(link))
+        except (OSError, ValueError, FabricProtocolError) as error:
+            return self._worker_down(link, FabricConnectionError(
+                f"worker {link.addr} connection broke: {error}"
             ))
-            if event is not None:
-                return event
+        if frame is None:
+            return self._worker_down(link, FabricConnectionError(
+                f"worker {link.addr} closed the connection"
+            ))
+        link.last_frame = time.monotonic()
+        kind, payload = frame
+        if kind in (KIND_HEARTBEAT, KIND_ACK):
+            return None
+        if kind in (KIND_RESULT, KIND_ERROR):
+            decode = decode_result if kind == KIND_RESULT else decode_error
+            chunk_id, body = decode(payload)
+            owner = self._inflight.pop(chunk_id, None)
+            if link.busy_chunk == chunk_id:
+                link.busy_chunk = None
+            self._drain_pending(link)
+            if owner is None:
+                return None  # stale frame for a chunk already written off
+            label = "done" if kind == KIND_RESULT else "failed"
+            return label, chunk_id, body
+        # Anything else after the handshake is a protocol breach;
+        # treat the worker as gone rather than guessing.
+        return self._worker_down(link, FabricProtocolError(
+            f"worker {link.addr} sent unexpected frame kind {kind}"
+        ))
 
     def _worker_down(self, link: _WorkerLink, error: Exception):
         """Retire a link; surface its in-flight chunk as lost."""
-        with self._lock:
-            was_alive = link.alive
-            link.alive = False
-            chunk_id = link.busy_chunk
-            link.busy_chunk = None
-            if chunk_id is not None:
-                self._inflight.pop(chunk_id, None)
-            # Any surviving idle worker should pick up queued chunks the
-            # dead one will never take.
-            for survivor in self._links:
-                if survivor.alive:
-                    self._drain_pending(survivor)
-        if was_alive:
-            link.close()
+        chunk_id = link.busy_chunk
+        link.busy_chunk = None
+        if chunk_id is not None:
+            self._inflight.pop(chunk_id, None)
+        self._retire(link)
+        # Any surviving idle worker should pick up queued chunks the
+        # dead one will never take.
+        for survivor in self._links:
+            self._drain_pending(survivor)
         if chunk_id is not None:
             return "lost", chunk_id, error
         return None
@@ -355,14 +352,14 @@ class FabricExecutor:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        with self._lock:
-            links = list(self._links)
-            self._links.clear()
-            self._pending.clear()
-            self._inflight.clear()
+        links, self._links = self._links, []
+        self._pending.clear()
+        self._inflight.clear()
         for link in links:
-            link.alive = False
-            link.close()
+            self._retire(link)
+        if self._selector is not None:
+            self._selector.close()
+            self._selector = None
 
     def __enter__(self) -> "FabricExecutor":
         return self.connect()

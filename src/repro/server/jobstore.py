@@ -74,6 +74,7 @@ from pathlib import Path
 from repro.api.session import AnalysisRequest
 from repro.core.analyzer import AnalyzerConfig
 from repro.errors import LoupeError
+from repro.fabric.executor import parse_worker_list
 
 #: Job lifecycle states.
 QUEUED = "queued"
@@ -232,17 +233,14 @@ class JobSpec:
     def worker_list(self) -> tuple:
         """The ``workers`` field normalized to a tuple of addresses
         (accepts the CLI's comma string or a JSON list)."""
-        if isinstance(self.workers, str):
-            return tuple(
-                part.strip() for part in self.workers.split(",")
-                if part.strip()
-            )
-        if not all(isinstance(part, str) for part in self.workers):
+        if not isinstance(self.workers, str) and not all(
+            isinstance(part, str) for part in self.workers
+        ):
             raise JobSpecError(
                 "workers must be a comma string or a list of "
                 "'host:port' strings"
             )
-        return tuple(self.workers)
+        return parse_worker_list(self.workers)
 
     def analyzer_config(self) -> AnalyzerConfig:
         """The spec as the analyzer configuration it describes."""

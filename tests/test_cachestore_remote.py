@@ -5,7 +5,7 @@ Covers the wire store (:class:`RemoteRunCache` against a live
 (each cold key executes once per claim window no matter how many
 clients stampede it), TTL expiry on the local backends that the
 served store builds on, and the in-process
-:class:`SingleFlightStore` / :class:`CacheService` primitives.
+:class:`CacheService` primitives.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.cli import main
 from repro.core.cachestore import (
     CacheStoreError,
     RemoteRunCache,
-    SingleFlightStore,
     open_store,
 )
 from repro.core.cachestore.factory import parse_store_path, store_identity
@@ -242,51 +241,6 @@ class TestTTLCli:
 
 
 # -- in-process primitives ---------------------------------------------------
-
-
-class TestSingleFlightStore:
-    def test_claim_then_publish_coalesces_waiters(self, tmp_path):
-        inner = open_store(tmp_path / "runs.jsonl")
-        with SingleFlightStore(inner) as store:
-            assert store.get(KEY) is None  # the claim is ours
-            assert store.claims_granted == 1
-            seen = []
-
-            def waiter():
-                seen.append(store.get(KEY))
-
-            thread = threading.Thread(target=waiter)
-            thread.start()
-            time.sleep(0.05)
-            store.put(KEY, _result())
-            thread.join(timeout=10.0)
-            assert seen and seen[0].to_dict() == _result().to_dict()
-            assert store.coalesced == 1
-
-    def test_expired_lease_transfers_the_claim(self, tmp_path):
-        inner = open_store(tmp_path / "runs.jsonl")
-        with SingleFlightStore(inner, lease_s=0.05) as store:
-            assert store.get(KEY) is None
-            time.sleep(0.1)
-            # The holder never published; the next miss inherits.
-            assert store.get(KEY) is None
-            assert store.claims_granted == 2
-
-    def test_close_wakes_waiters(self, tmp_path):
-        inner = open_store(tmp_path / "runs.jsonl")
-        store = SingleFlightStore(inner, lease_s=30.0)
-        assert store.get(KEY) is None
-        finished = threading.Event()
-
-        def waiter():
-            store.get(KEY)
-            finished.set()
-
-        thread = threading.Thread(target=waiter, daemon=True)
-        thread.start()
-        time.sleep(0.05)
-        store.close()
-        assert finished.wait(5.0)
 
 
 class TestCacheServiceUnit:

@@ -15,6 +15,9 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import json
+import os
+import threading
+import time
 
 import pytest
 
@@ -33,15 +36,18 @@ from repro.fabric.executor import (
     FabricConnectionError,
     FabricExecutor,
     parse_worker_address,
+    parse_worker_list,
 )
 from repro.fabric.protocol import (
     KIND_ACK,
     KIND_CHUNK,
     KIND_HEARTBEAT,
+    KIND_RESULT,
     FabricProtocolError,
     decode_chunk,
     encode_ack,
     encode_frame,
+    encode_result,
     read_frame,
 )
 from repro.fabric.worker import FabricWorker, _ConnectionHandler
@@ -124,6 +130,25 @@ class _DropAfterAckHandler(_ConnectionHandler):
             send(encode_frame(KIND_ACK, encode_ack(chunk_id)))
             self.request.close()
             return
+
+
+class _BurstHandler(_ConnectionHandler):
+    """Answers each chunk with ``ACK``, an empty ``RESULT`` and a
+    ``HEARTBEAT`` in one write, so all three reach the scheduler in one
+    segment; a reader that buffers past the first frame strands the
+    other two."""
+
+    def _chunk_loop(self, worker, reader, send) -> None:
+        while True:
+            frame = read_frame(reader)
+            if frame is None:
+                return
+            chunk_id, _job = decode_chunk(frame[1])
+            send(
+                encode_frame(KIND_ACK, encode_ack(chunk_id))
+                + encode_frame(KIND_RESULT, encode_result(chunk_id, []))
+                + encode_frame(KIND_HEARTBEAT, b"")
+            )
 
 
 class _MuteHandler(_ConnectionHandler):
@@ -315,8 +340,64 @@ class TestConnectionErrors:
         with pytest.raises(FabricConnectionError):
             parse_worker_address("host:http")
 
+    def test_worker_lists_parse_from_strings_and_iterables(self):
+        assert parse_worker_list(" a:1, ,b:2,") == ("a:1", "b:2")
+        assert parse_worker_list(["a:1 ", "", " b:2"]) == ("a:1", "b:2")
+        assert parse_worker_list(None) == ()
+        assert parse_worker_list("") == ()
+
     def test_empty_fleet_is_refused_up_front(self):
         with pytest.raises(FabricConnectionError):
             FabricExecutor([])
         with pytest.raises(ValueError):
             ProbeEngine(executor="remote")
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _settles(probe, baseline, timeout=5.0) -> bool:
+    """Whether *probe()* comes back down to *baseline* within *timeout*:
+    the worker side of a connection (in this process too) winds down on
+    its own threads after the scheduler hangs up."""
+    deadline = time.monotonic() + timeout
+    while probe() > baseline:
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
+
+
+class TestLinkLifecycle:
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_close_is_prompt_and_leaks_nothing(self):
+        app = build("redis")
+        job = (
+            app.backend(), app.workload("health"),
+            [(0, 0, stubbing("futex"))], False, None,
+        )
+        # A 30s heartbeat: nothing arrives to wake a blocked reader
+        # before close() returns.
+        with FabricWorker(heartbeat_s=30.0) as worker:
+            fds, threads = _open_fds(), threading.active_count()
+            executor = FabricExecutor([worker.address]).connect()
+            chunk_id = executor.submit(job)
+            event, done_id, rows = executor.next_event()
+            assert (event, done_id) == ("done", chunk_id)
+            assert rows
+            started = time.monotonic()
+            executor.close()
+            assert time.monotonic() - started < 1.0
+            assert _settles(threading.active_count, threads)
+            assert _settles(_open_fds, fds)
+
+    def test_frames_sent_together_are_all_read(self):
+        with _flaky_worker(_BurstHandler, heartbeat_s=3600.0) as worker:
+            with FabricExecutor([worker.address], dead_after_s=5) as executor:
+                chunk_id = executor.submit(None)
+                started = time.monotonic()
+                assert executor.next_event() == ("done", chunk_id, [])
+                assert time.monotonic() - started < 1.0

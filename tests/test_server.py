@@ -125,6 +125,13 @@ class TestJobSpec:
         with pytest.raises(JobSpecError):
             JobSpec.from_dict({"on_fault": "explode"})
 
+    def test_workers_accept_a_comma_string_or_a_list(self):
+        for workers in ("a:1, b:2", ["a:1", "b:2"]):
+            spec = JobSpec.from_dict({"workers": workers})
+            assert spec.workers == ("a:1", "b:2")
+        with pytest.raises(JobSpecError, match="host:port"):
+            JobSpec.from_dict({"workers": ["a:1", 2]})
+
     def test_maps_to_analyzer_config(self):
         spec = JobSpec.from_dict({
             "replicas": 2, "jobs": 3, "on_fault": "degrade",
