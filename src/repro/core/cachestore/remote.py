@@ -37,10 +37,10 @@ started with, not through the wire.
 from __future__ import annotations
 
 import base64
+import http.client
 import json
-import urllib.error
+import threading
 import urllib.parse
-import urllib.request
 from pathlib import Path
 
 from repro.core.cachestore.base import (
@@ -100,10 +100,15 @@ class RemoteRunCache:
         miss-then-record path does anyway. ``claim=False`` makes every
         get a plain read.
 
-    The store is thread-safe by construction: every operation is one
-    HTTP request and the instance keeps no mutable state. ``claimed``
-    misses that never publish simply let their server-side lease run
-    out — liveness never depends on this process's good behavior.
+    Every operation is one HTTP request over a keep-alive connection
+    taken from a lock-guarded idle pool and returned after the
+    response is read, so a campaign pays one TCP connect per thread
+    instead of one per request. The store is thread-safe: a connection
+    serves one request at a time. :meth:`close` closes the pooled
+    connections (the store reconnects on the next operation).
+    ``claimed`` misses that never publish simply let their server-side
+    lease run out — liveness never depends on this process's good
+    behavior.
     """
 
     kind = "http"
@@ -119,11 +124,22 @@ class RemoteRunCache:
         if claim_wait_s < 0:
             raise ValueError("claim_wait_s must be >= 0")
         self.url = url.rstrip("/")
-        self.path = Path(urllib.parse.urlsplit(self.url).netloc or self.url)
+        parts = urllib.parse.urlsplit(self.url)
+        self.path = Path(parts.netloc or self.url)
         self.timeout = timeout
         self.claim = claim
         self.claim_wait_s = claim_wait_s
-        self._closed = False
+        self._connection_class = (
+            http.client.HTTPSConnection if parts.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._host, self._port = parts.hostname, parts.port
+        self._prefix = parts.path
+        self._lock = threading.Lock()
+        self._idle: "list[http.client.HTTPConnection]" = []
+        #: Bumped by :meth:`close`; a connection checked out before the
+        #: bump is closed, not pooled, when it comes back.
+        self._epoch = 0
         self._ping()
 
     # -- transport -----------------------------------------------------------
@@ -141,39 +157,76 @@ class RemoteRunCache:
         if body is not None:
             data = json.dumps(body, sort_keys=True).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(
-            self.url + path, data=data, headers=headers, method=method
-        )
+        timeout = read_timeout or self.timeout
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+            epoch = self._epoch
         try:
-            with urllib.request.urlopen(
-                request, timeout=read_timeout or self.timeout
-            ) as response:
-                raw = response.read()
-                return response.status, (json.loads(raw) if raw else None)
-        except urllib.error.HTTPError as error:
-            raw = error.read()
-            try:
-                document = json.loads(raw)
-            except ValueError:
-                document = {"error": raw.decode("utf-8", "replace").strip()}
-            if error.code == 404 and isinstance(document, dict) \
-                    and document.get("miss"):
-                # A cache miss, not a routing error — callers branch on
-                # the body.
-                return error.code, document
-            message = document.get("error") if isinstance(document, dict) \
-                else None
+            if conn is not None:
+                try:
+                    response = self._send(
+                        conn, method, path, data, headers, timeout
+                    )
+                except ConnectionError:
+                    # The server dropped the idle connection before its
+                    # response began: retry once on a fresh one.
+                    conn.close()
+                    conn = None
+            if conn is None:
+                conn = self._connection_class(
+                    self._host, self._port, timeout=timeout
+                )
+                response = self._send(conn, method, path, data, headers, timeout)
+            raw = response.read()
+        except (OSError, http.client.HTTPException) as error:
+            if conn is not None:
+                conn.close()
             raise CacheStoreError(
-                f"cache server at {self.url} said {error.code}: "
-                f"{message or error.reason}"
-            )
-        except (urllib.error.URLError, ConnectionError, TimeoutError) as error:
-            reason = getattr(error, "reason", error)
-            raise CacheStoreError(
-                f"cannot reach the cache server at {self.url} ({reason}); "
+                f"cannot reach the cache server at {self.url} ({error}); "
                 f"is it running? start one with: "
                 f"loupe serve --run-cache PATH"
             )
+        status = response.status
+        if status < 400:
+            self._release(conn, epoch)
+            return status, (json.loads(raw) if raw else None)
+        try:
+            document = json.loads(raw)
+        except ValueError:
+            document = {"error": raw.decode("utf-8", "replace").strip()}
+        if status == 404 and isinstance(document, dict) \
+                and document.get("miss"):
+            # A cache miss, not a routing error — callers branch on
+            # the body.
+            self._release(conn, epoch)
+            return status, document
+        # The server may refuse a request before reading its body, so a
+        # connection that carried a refusal is not reused.
+        conn.close()
+        message = document.get("error") if isinstance(document, dict) \
+            else None
+        raise CacheStoreError(
+            f"cache server at {self.url} said {status}: "
+            f"{message or response.reason}"
+        )
+
+    def _send(self, conn, method, path, data, headers, timeout):
+        if conn.sock is not None:
+            # A pooled connection takes this request's timeout; a fresh
+            # one connects with the timeout it was built with.
+            conn.sock.settimeout(timeout)
+        conn.request(method, self._prefix + path, body=data, headers=headers)
+        return conn.getresponse()
+
+    def _release(self, conn: http.client.HTTPConnection, epoch: int) -> None:
+        """Return *conn* to the idle pool (which so never holds more
+        connections than were ever in use at once), or close it if the
+        server ended it or :meth:`close` ran meanwhile."""
+        with self._lock:
+            if conn.sock is not None and epoch == self._epoch:
+                self._idle.append(conn)
+                return
+        conn.close()
 
     def _ping(self) -> None:
         self._request("GET", "/cache/stats")
@@ -270,7 +323,15 @@ class RemoteRunCache:
         raise self._refuse_ops("stats --ttl")
 
     def close(self) -> None:
-        self._closed = True
+        """Close the pooled connections, so the server's handler
+        threads end too; a connection in use closes when it is
+        returned. Idempotent; the store stays usable and reconnects on
+        the next operation."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+            self._epoch += 1
+        for conn in idle:
+            conn.close()
 
     def __enter__(self) -> "RemoteRunCache":
         return self

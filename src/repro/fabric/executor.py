@@ -185,6 +185,9 @@ class FabricExecutor:
     def _connect_one(self, addr: str) -> None:
         host, port = parse_worker_address(addr)
         sock = socket.create_connection((host, port), timeout=self.connect_timeout)
+        # A CHUNK is one small write answered by small frames; with
+        # Nagle on, each exchange can wait out a delayed TCP ACK.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         link = _WorkerLink(addr, sock)
         try:
             sock.settimeout(self.dead_after_s)

@@ -83,6 +83,9 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
 
     def handle(self) -> None:  # noqa: D102 - protocol method
         worker: "FabricWorker" = self.server.fabric_worker
+        # ACK then RESULT is a write-write-read pattern: with Nagle on,
+        # the RESULT waits for the scheduler's delayed TCP ACK.
+        self.request.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         reader = self.request.makefile("rb")
         write_lock = threading.Lock()
         stop_beats = threading.Event()

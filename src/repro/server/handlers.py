@@ -95,9 +95,10 @@ MAX_BODY_BYTES = 1 << 20
 
 
 class CampaignHTTPServer(ThreadingHTTPServer):
-    """The listening socket: one thread per in-flight request (which
-    is what lets long-polls park without starving other clients), all
-    of them daemons so a wedged client never blocks process exit."""
+    """The listening socket: one thread per connection (which is what
+    lets long-polls park without starving other clients; a keep-alive
+    client holds its thread until it hangs up), all of them daemons so
+    a wedged client never blocks process exit."""
 
     daemon_threads = True
     allow_reuse_address = True
@@ -112,6 +113,9 @@ class CampaignHTTPServer(ThreadingHTTPServer):
 class CampaignRequestHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = "loupe-campaign/1"
+    # Headers and body go out as two writes; on a keep-alive connection
+    # Nagle would hold the body until the client's delayed TCP ACK.
+    disable_nagle_algorithm = True
 
     def log_message(self, format: str, *args: object) -> None:
         # Per-request stderr chatter off by default; the server's

@@ -10,6 +10,7 @@ served store builds on, and the in-process
 
 from __future__ import annotations
 
+import os
 import threading
 import time
 from collections import Counter
@@ -29,6 +30,7 @@ from repro.core.cachestore.remote import decode_key_id, encode_key_id
 from repro.core.runner import RunResult
 from repro.server import CampaignServer
 from repro.server.cache import CacheService, FleetTracker
+from repro.server.handlers import CampaignRequestHandler
 
 KEY = ("sim:redis-1.0", "bench", "fingerprint", 0)
 
@@ -168,6 +170,149 @@ class TestFleetSingleFlight:
         started = time.monotonic()
         assert reader.get(KEY) is None
         assert time.monotonic() - started < 5.0
+
+
+class TestConnectionReuse:
+    """One keep-alive connection per concurrent caller, not one per
+    request; ``close()`` releases every socket on both ends."""
+
+    def test_sequential_calls_share_one_connection(self, cache_server):
+        ports = []
+
+        class _Recording(CampaignRequestHandler):
+            def handle_one_request(self) -> None:
+                ports.append(self.client_address[1])
+                super().handle_one_request()
+
+        cache_server._httpd.RequestHandlerClass = _Recording
+        with RemoteRunCache(cache_server.url) as store:
+            for replica in range(25):
+                key = KEY[:3] + (replica,)
+                assert store.get(key) is None
+                store.put(key, _result(replica))
+        assert len(ports) >= 51
+        assert len(set(ports)) == 1
+
+    def test_concurrent_callers_never_see_each_others_replies(
+        self, cache_server
+    ):
+        errors = []
+        with RemoteRunCache(cache_server.url, claim=False) as store:
+
+            def caller(name: str, base: int) -> None:
+                try:
+                    for index in range(40):
+                        key = (name, "bench", "fingerprint", index)
+                        store.put(key, _result(base + index))
+                        hit = store.get(key)
+                        assert hit is not None
+                        assert hit.to_dict() == _result(base + index).to_dict()
+                        assert set(store.get_many([key])) == {key}
+                except Exception as error:  # surfaced below
+                    errors.append(error)
+
+            threads = [
+                threading.Thread(target=caller, args=(name, base))
+                for name, base in (("one", 100), ("two", 200))
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        assert errors == []
+
+    def test_dropped_idle_connection_reconnects(self, cache_server):
+        ports = []
+
+        class _HangUpAfterEachReply(CampaignRequestHandler):
+            # Ends the connection after every reply without saying so,
+            # like a server reaping idle keep-alive connections.
+            def handle_one_request(self) -> None:
+                ports.append(self.client_address[1])
+                super().handle_one_request()
+                self.close_connection = True
+
+        cache_server._httpd.RequestHandlerClass = _HangUpAfterEachReply
+        with RemoteRunCache(cache_server.url) as store:
+            assert store.get(KEY) is None
+            store.put(KEY, _result())
+            assert store.get(KEY).to_dict() == _result().to_dict()
+            assert len(store) == 1
+        assert len(ports) == 5  # the ping and four calls, each reconnected
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_close_releases_every_socket_and_handler_thread(
+        self, cache_server
+    ):
+        threads = threading.active_count()
+        # The served store opens its files on first use; do that first.
+        with RemoteRunCache(cache_server.url) as warmup:
+            warmup.put(KEY, _result())
+        assert _settles(threading.active_count, threads)
+        fds = len(os.listdir("/proc/self/fd"))
+
+        other = KEY[:3] + (1,)
+        holder = RemoteRunCache(cache_server.url)
+        assert holder.get(other) is None  # takes the claim
+        waiter = RemoteRunCache(cache_server.url, claim_wait_s=10.0)
+        answers = []
+        parked = threading.Thread(target=lambda: answers.append(
+            waiter.get(other)
+        ))
+        parked.start()
+        # The waiter's reply is held until the holder publishes; close
+        # the waiter meanwhile, with its connection still in use.
+        assert _settles(lambda: len(waiter._idle), 0)
+        waiter.close()
+        holder.put(other, _result())
+        parked.join(timeout=30.0)
+        assert answers[0].to_dict() == _result().to_dict()
+        assert waiter._idle == []  # closed on return, not pooled
+        holder.close()
+        holder.close()  # idempotent
+
+        assert _settles(threading.active_count, threads)
+        assert _settles(lambda: len(os.listdir("/proc/self/fd")), fds)
+
+        # Closed is not dead: the next operation reconnects.
+        assert holder.get(KEY).to_dict() == _result().to_dict()
+        holder.close()
+        assert _settles(threading.active_count, threads)
+
+    def test_torn_claim_reply_is_not_retried(self, cache_server):
+        claims = []
+
+        class _TornClaimReply(CampaignRequestHandler):
+            def _send_cache_get(self, key_id, query) -> None:
+                claims.append(key_id)
+                self.send_response(404)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", "64")
+                self.end_headers()
+                self.wfile.write(b'{"miss": true, "cla')
+                self.close_connection = True
+
+        cache_server._httpd.RequestHandlerClass = _TornClaimReply
+        with RemoteRunCache(cache_server.url) as store:
+            # The ping left a pooled connection: the claim goes out on
+            # a reused one, where a retry would be most tempting.
+            with pytest.raises(CacheStoreError, match="cache server"):
+                store.get(KEY)
+        assert len(claims) == 1
+
+
+def _settles(probe, target, timeout=5.0) -> bool:
+    """Whether *probe()* comes down to *target* within *timeout*: the
+    server side of a connection winds down on its own thread after the
+    client hangs up."""
+    deadline = time.monotonic() + timeout
+    while probe() > target:
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
 
 
 # -- TTL on the local backends ----------------------------------------------

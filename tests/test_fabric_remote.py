@@ -16,6 +16,7 @@ import contextlib
 import dataclasses
 import json
 import os
+import socket
 import threading
 import time
 
@@ -401,3 +402,42 @@ class TestLinkLifecycle:
                 started = time.monotonic()
                 assert executor.next_event() == ("done", chunk_id, [])
                 assert time.monotonic() - started < 1.0
+
+
+class TestWireLatency:
+    def test_both_ends_of_a_link_disable_nagle(self):
+        seen = []
+
+        class _Recording(_ConnectionHandler):
+            def _chunk_loop(self, worker, reader, send) -> None:
+                seen.append(self.request.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                ))
+                super()._chunk_loop(worker, reader, send)
+
+        with _flaky_worker(_Recording) as worker:
+            with FabricExecutor([worker.address]) as executor:
+                link_sock = executor._links[0].sock
+                assert link_sock.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                )
+                chunk_id = executor.submit(None)
+                assert executor.next_event()[:2] == ("failed", chunk_id)
+        assert seen and all(seen)
+
+    def test_sequential_round_trips_never_wait_on_delayed_acks(self):
+        # ACK then RESULT is a write-write-read: with Nagle on, every
+        # round trip waits out a delayed TCP ACK (tens of ms each).
+        app = build("redis")
+        job = (
+            app.backend(), app.workload("health"),
+            [(0, 0, stubbing("futex"))], False, None,
+        )
+        with FabricWorker() as worker:
+            with FabricExecutor([worker.address]) as executor:
+                started = time.monotonic()
+                for _ in range(200):
+                    chunk_id = executor.submit(job)
+                    assert executor.next_event()[:2] == ("done", chunk_id)
+                elapsed = time.monotonic() - started
+        assert elapsed < 4.0, f"200 round trips took {elapsed:.2f}s"

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import os
 import signal
+import socket
 import threading
 import time
 
@@ -40,6 +41,7 @@ from repro.server import (
     UnknownJobError,
     encode_report,
 )
+from repro.server.handlers import CampaignRequestHandler
 
 DEADLINE_S = 30.0
 
@@ -269,6 +271,22 @@ class TestHTTPSurface:
         assert all(stats["jobs"][state] == 0 for state in STATES)
         assert stats["queue"]["draining"] is False
         assert stats["attempts"]["retries"] == 0
+
+    def test_accepted_sockets_disable_nagle(self, server, client):
+        # Headers and body are two writes; on a keep-alive connection
+        # Nagle would hold the body for the client's delayed ACK.
+        seen = []
+
+        class _Recording(CampaignRequestHandler):
+            def handle(self) -> None:
+                seen.append(self.connection.getsockopt(
+                    socket.IPPROTO_TCP, socket.TCP_NODELAY
+                ))
+                super().handle()
+
+        server._httpd.RequestHandlerClass = _Recording
+        assert client.health()["ok"] is True
+        assert seen and all(seen)
 
     def test_submit_runs_to_done(self, client):
         meta = client.submit(QUICK_SPEC)
