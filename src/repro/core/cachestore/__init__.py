@@ -16,8 +16,7 @@ small subsystem:
   via ``last_used``/``use_count`` under ``max_entries``;
 * :mod:`~repro.core.cachestore.remote` — :class:`RemoteRunCache`, an
   HTTP client for the campaign server's ``/cache`` surface: one
-  store shared by a whole worker fleet, with cross-process
-  single-flight claims de-duplicating concurrent misses;
+  store shared by a whole worker fleet;
 * :mod:`~repro.core.cachestore.factory` — :func:`open_store` (scheme
   and extension aware) and :func:`migrate_store` (jsonl → sqlite
   upgrade path);

@@ -7,9 +7,8 @@ other side of this wire):
 =========  =======================  ===================================
 Method     Path                     Meaning
 =========  =======================  ===================================
-``GET``    ``/cache/<keyid>``       one record; ``?claim=1&wait=S``
-                                    joins the single-flight protocol
-``PUT``    ``/cache/<keyid>``       publish one record (releases claim)
+``GET``    ``/cache/<keyid>``       one record (``404`` on a miss)
+``PUT``    ``/cache/<keyid>``       publish one record (an upsert)
 ``POST``   ``/cache/lookup``        batched read: ``{"keys": [...]}``
 ``GET``    ``/cache/stats``         the store's stats + counters
 =========  =======================  ===================================
@@ -21,12 +20,9 @@ path. Record bodies are the very same JSON objects the local
 backends write as lines (:func:`~repro.core.cachestore.base.
 encode_record`): the wire format *is* the file format.
 
-What a remote ``get`` miss means is richer than a local one: with
-``claim=True`` the server may answer "the claim is yours" — this
-caller should execute the run and ``put`` the result — or hold the
-reply while another fleet member executes, then answer with the
-published hit. That is the fleet-wide single-flight that keeps a
-warm campaign from stampeding one cold key across N workers.
+A remote ``get`` means what a local one does: the record, or
+``None``. Two campaigns missing one key at once both execute it and
+both ``put``; the second put upserts an identical record.
 
 Ops verbs that need the records on disk (``records``, ``items``,
 ``compact``, ``gc``) are refused with a pointer at the server's own
@@ -52,14 +48,8 @@ from repro.core.cachestore.base import (
 )
 from repro.core.runner import RunResult
 
-#: Per-request transport timeout. Claim waits ride on top (the server
-#: holds the reply while a claim-holder executes), so the effective
-#: GET timeout is ``timeout + wait``.
+#: Per-request transport timeout.
 DEFAULT_TIMEOUT_S = 10.0
-
-#: How long a claiming ``get`` lets the server hold the reply waiting
-#: for another fleet member's publish before settling for the miss.
-DEFAULT_CLAIM_WAIT_S = 20.0
 
 
 def encode_key_id(key: StoreKey) -> str:
@@ -93,12 +83,6 @@ class RemoteRunCache:
         pings ``GET /cache/stats`` so a dead or cache-less server is
         reported at open time with an actionable message, not on the
         first mid-campaign miss.
-    claim:
-        Join the fleet-wide single-flight protocol on misses (the
-        default). A granted claim obliges this store's user to ``put``
-        the executed result — exactly what the probe engine's
-        miss-then-record path does anyway. ``claim=False`` makes every
-        get a plain read.
 
     Every operation is one HTTP request over a keep-alive connection
     taken from a lock-guarded idle pool and returned after the
@@ -106,9 +90,6 @@ class RemoteRunCache:
     instead of one per request. The store is thread-safe: a connection
     serves one request at a time. :meth:`close` closes the pooled
     connections (the store reconnects on the next operation).
-    ``claimed`` misses that never publish simply let their server-side
-    lease run out — liveness never depends on this process's good
-    behavior.
     """
 
     kind = "http"
@@ -118,17 +99,11 @@ class RemoteRunCache:
         url: str,
         *,
         timeout: float = DEFAULT_TIMEOUT_S,
-        claim: bool = True,
-        claim_wait_s: float = DEFAULT_CLAIM_WAIT_S,
     ) -> None:
-        if claim_wait_s < 0:
-            raise ValueError("claim_wait_s must be >= 0")
         self.url = url.rstrip("/")
         parts = urllib.parse.urlsplit(self.url)
         self.path = Path(parts.netloc or self.url)
         self.timeout = timeout
-        self.claim = claim
-        self.claim_wait_s = claim_wait_s
         self._connection_class = (
             http.client.HTTPSConnection if parts.scheme == "https"
             else http.client.HTTPConnection
@@ -150,23 +125,19 @@ class RemoteRunCache:
         path: str,
         *,
         body: "dict | None" = None,
-        read_timeout: "float | None" = None,
     ) -> "tuple[int, dict | None]":
         data = None
         headers = {"Accept": "application/json"}
         if body is not None:
             data = json.dumps(body, sort_keys=True).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        timeout = read_timeout or self.timeout
         with self._lock:
             conn = self._idle.pop() if self._idle else None
             epoch = self._epoch
         try:
             if conn is not None:
                 try:
-                    response = self._send(
-                        conn, method, path, data, headers, timeout
-                    )
+                    response = self._send(conn, method, path, data, headers)
                 except ConnectionError:
                     # The server dropped the idle connection before its
                     # response began: retry once on a fresh one.
@@ -174,9 +145,9 @@ class RemoteRunCache:
                     conn = None
             if conn is None:
                 conn = self._connection_class(
-                    self._host, self._port, timeout=timeout
+                    self._host, self._port, timeout=self.timeout
                 )
-                response = self._send(conn, method, path, data, headers, timeout)
+                response = self._send(conn, method, path, data, headers)
             raw = response.read()
         except (OSError, http.client.HTTPException) as error:
             if conn is not None:
@@ -210,11 +181,7 @@ class RemoteRunCache:
             f"{message or response.reason}"
         )
 
-    def _send(self, conn, method, path, data, headers, timeout):
-        if conn.sock is not None:
-            # A pooled connection takes this request's timeout; a fresh
-            # one connects with the timeout it was built with.
-            conn.sock.settimeout(timeout)
+    def _send(self, conn, method, path, data, headers):
         conn.request(method, self._prefix + path, body=data, headers=headers)
         return conn.getresponse()
 
@@ -234,18 +201,7 @@ class RemoteRunCache:
     # -- the store API -------------------------------------------------------
 
     def get(self, key: StoreKey) -> "RunResult | None":
-        query = ""
-        read_timeout = None
-        if self.claim:
-            query = "?" + urllib.parse.urlencode(
-                {"claim": 1, "wait": self.claim_wait_s}
-            )
-            read_timeout = self.timeout + self.claim_wait_s
-        status, document = self._request(
-            "GET",
-            f"/cache/{encode_key_id(key)}{query}",
-            read_timeout=read_timeout,
-        )
+        status, document = self._request("GET", f"/cache/{encode_key_id(key)}")
         if status == 404:
             return None
         _key, result, _policy, _created = decode_record_meta(
@@ -266,9 +222,8 @@ class RemoteRunCache:
     def get_many(
         self, keys: "list[StoreKey]"
     ) -> "dict[StoreKey, RunResult]":
-        """Batched plain read (``POST /cache/lookup``) — no claims, so
-        warm-path prefetchers must not use it to stand in for the
-        claiming ``get`` on keys they intend to execute."""
+        """Batched read (``POST /cache/lookup``): the hits among
+        *keys*, in one request."""
         if not keys:
             return {}
         _status, document = self._request(

@@ -28,6 +28,7 @@ import dataclasses
 import errno as errno_module
 import os
 import signal
+import threading
 import time
 from collections import Counter
 
@@ -178,56 +179,82 @@ class SyscallTracer:
             outcome.traced["execve"] += 1
         ptrace(PTRACE_SYSCALL, root, 0, 0)
 
-        while states:
-            if time.monotonic() - started > self.timeout_s:
-                outcome.timed_out = True
-                self._kill_all(states)
-                break
+        # The budget is enforced off the stop loop: waitpid blocks for
+        # as long as no tracee stops, so a tracee that sleeps would
+        # otherwise outlive any deadline checked between stops.
+        timer = threading.Timer(
+            max(started + self.timeout_s - time.monotonic(), 0.0),
+            self._expire, (states, outcome),
+        )
+        timer.daemon = True
+        timer.start()
+        try:
+            while states:
+                if outcome.timed_out:
+                    self._kill_all(states)
+                    break
+                try:
+                    pid, status = os.waitpid(-1, 0)
+                except ChildProcessError:
+                    break
+                if pid not in states:
+                    states[pid] = _PidState()
+
+                if os.WIFEXITED(status):
+                    if pid == root:
+                        outcome.exit_code = os.WEXITSTATUS(status)
+                    del states[pid]
+                    continue
+                if os.WIFSIGNALED(status):
+                    if pid == root:
+                        outcome.exit_code = 128 + os.WTERMSIG(status)
+                        outcome.term_signal = os.WTERMSIG(status)
+                    del states[pid]
+                    continue
+                if not os.WIFSTOPPED(status):
+                    continue
+
+                stop_signal = os.WSTOPSIG(status)
+                event = status >> 16
+                deliver = 0
+                if stop_signal == _SYSCALL_STOP:
+                    stops += 1
+                    if stops % self.sample_every == 0:
+                        self._sample_resources(root, outcome)
+                    self._on_syscall_stop(pid, states[pid], outcome)
+                elif event in (
+                    PTRACE_EVENT_FORK, PTRACE_EVENT_VFORK, PTRACE_EVENT_CLONE
+                ):
+                    # The new child inherits supervision; its own first stop
+                    # registers it in `states`.
+                    pass
+                elif event == PTRACE_EVENT_EXEC:
+                    states[pid] = _PidState(
+                        whitelisted=self._is_whitelisted(pid)
+                    )
+                elif stop_signal != signal.SIGTRAP:
+                    deliver = stop_signal
+                try:
+                    ptrace(PTRACE_SYSCALL, pid, 0, deliver)
+                except OSError:
+                    states.pop(pid, None)
+        finally:
+            timer.cancel()
+            timer.join()
+
+    @staticmethod
+    def _expire(states: "dict[int, _PidState]", outcome: TraceOutcome) -> None:
+        """Timer callback at the deadline: SIGKILL every tracee, so the
+        blocked ``waitpid`` returns and the stop loop winds down."""
+        pids = list(states)
+        if not pids:
+            return
+        outcome.timed_out = True
+        for pid in pids:
             try:
-                pid, status = os.waitpid(-1, 0)
-            except ChildProcessError:
-                break
-            if pid not in states:
-                states[pid] = _PidState()
-
-            if os.WIFEXITED(status):
-                if pid == root:
-                    outcome.exit_code = os.WEXITSTATUS(status)
-                del states[pid]
-                continue
-            if os.WIFSIGNALED(status):
-                if pid == root:
-                    outcome.exit_code = 128 + os.WTERMSIG(status)
-                    outcome.term_signal = os.WTERMSIG(status)
-                del states[pid]
-                continue
-            if not os.WIFSTOPPED(status):
-                continue
-
-            stop_signal = os.WSTOPSIG(status)
-            event = status >> 16
-            deliver = 0
-            if stop_signal == _SYSCALL_STOP:
-                stops += 1
-                if stops % self.sample_every == 0:
-                    self._sample_resources(root, outcome)
-                self._on_syscall_stop(pid, states[pid], outcome)
-            elif event in (
-                PTRACE_EVENT_FORK, PTRACE_EVENT_VFORK, PTRACE_EVENT_CLONE
-            ):
-                # The new child inherits supervision; its own first stop
-                # registers it in `states`.
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
                 pass
-            elif event == PTRACE_EVENT_EXEC:
-                states[pid] = _PidState(
-                    whitelisted=self._is_whitelisted(pid)
-                )
-            elif stop_signal != signal.SIGTRAP:
-                deliver = stop_signal
-            try:
-                ptrace(PTRACE_SYSCALL, pid, 0, deliver)
-            except OSError:
-                states.pop(pid, None)
 
     def _kill_all(self, states: "dict[int, _PidState]") -> None:
         for pid in list(states):
@@ -260,12 +287,17 @@ class SyscallTracer:
             regs = get_regs(pid)
         except OSError:
             return
-        if not state.in_syscall:
-            state.in_syscall = True
-            self._on_entry(pid, state, regs, outcome)
-        else:
-            state.in_syscall = False
-            self._on_exit(pid, state, regs)
+        try:
+            if not state.in_syscall:
+                state.in_syscall = True
+                self._on_entry(pid, state, regs, outcome)
+            else:
+                state.in_syscall = False
+                self._on_exit(pid, state, regs)
+        except ProcessLookupError:
+            # SIGKILLed at the deadline while stopped here; the stop
+            # loop reaps its exit next.
+            pass
 
     def _on_entry(
         self, pid: int, state: _PidState, regs: UserRegs, outcome: TraceOutcome

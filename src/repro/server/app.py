@@ -89,8 +89,7 @@ class CampaignServer:
         self.cache: "CacheService | None" = None
         if run_cache is not None:
             # The served cache surface (GET/PUT /cache/<key>): one
-            # long-lived store the whole fleet shares, with
-            # cross-process single-flight claims layered on top.
+            # long-lived store the whole fleet shares.
             from repro.core.cachestore import open_store
 
             self.cache = CacheService(open_store(run_cache))
@@ -223,9 +222,8 @@ class CampaignServer:
         attempts and the worst offender), and — when a service-default
         run cache is configured — the store's stats in exactly the
         ``loupe cache stats --json`` shape, plus the cache surface's
-        counters (hits/misses/single-flight coalescing) and fleet
-        gauges (connected workers, chunks in flight, from worker
-        heartbeats)."""
+        hit/miss counters and fleet gauges (connected workers, chunks
+        in flight, from worker heartbeats)."""
         store_stats = None
         cache_counters = None
         if self.cache is not None:

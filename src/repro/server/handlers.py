@@ -16,7 +16,7 @@ Method     Path                            Meaning
 ``GET``    ``/healthz``                    liveness
 ``GET``    ``/stats``                      queue/worker/store observability
 ``GET``    ``/cache/stats``                the served run store's stats
-``GET``    ``/cache/<keyid>``              one cached run (``?claim=1&wait=S``)
+``GET``    ``/cache/<keyid>``              one cached run (``404`` on a miss)
 ``PUT``    ``/cache/<keyid>``              publish one run record
 ``POST``   ``/cache/lookup``               batched cache read
 ``POST``   ``/fleet/heartbeat``            a worker's liveness announcement
@@ -26,12 +26,10 @@ The ``/cache`` family is the fleet's shared run store (present only
 when the server was started with ``--run-cache``; 503 otherwise): the
 *keyid* is the store key's URL token
 (:func:`repro.core.cachestore.remote.encode_key_id`), record bodies
-are the same JSON objects the local backends write as lines, and
-``?claim=1`` joins the cross-process single-flight protocol — a miss
-reply says whether the claim is now this caller's (``{"miss": true,
-"claimed": true}``, plus an ``X-Loupe-Claim: granted`` header), and
-``wait=S`` lets the server hold the reply while another fleet member
-executes. ``/fleet/heartbeat`` feeds the worker gauges in ``/stats``.
+are the same JSON objects the local backends write as lines, and a
+miss is a ``404`` whose body is ``{"miss": true}`` (so a client can
+tell it from a routing error). Query parameters on a cache read are
+ignored. ``/fleet/heartbeat`` feeds the worker gauges in ``/stats``.
 
 Everything speaks JSON except ``/events``, which replays the job's
 ``events.jsonl`` verbatim as ``application/x-ndjson`` — the body *is*
@@ -148,7 +146,7 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
             elif parts == ["cache", "stats"]:
                 self._send_cache_stats()
             elif len(parts) == 2 and parts[0] == "cache":
-                self._send_cache_get(parts[1], query)
+                self._send_cache_get(parts[1])
             else:
                 self._send_json(404, {"error": f"no such path: {parsed.path}"})
         except UnknownJobError as error:
@@ -299,23 +297,12 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
             "fleet": self.server.campaign.fleet.gauges(),
         })
 
-    def _send_cache_get(self, key_id: str, query: dict) -> None:
+    def _send_cache_get(self, key_id: str) -> None:
         service = self._cache_service()
         key = decode_key_id(key_id)
-        claim = _int_param(query, "claim", 0) != 0
-        wait = _float_param(query, "wait", 0.0)
-        if not math.isfinite(wait) or wait < 0:
-            raise ValueError(
-                f"query parameter 'wait' must be a finite number >= 0, "
-                f"got {wait!r}"
-            )
-        result, claimed = service.fetch(key, claim=claim, wait_s=wait)
+        result = service.fetch(key)
         if result is None:
-            self._send_json(
-                404,
-                {"miss": True, "claimed": claimed},
-                headers={"X-Loupe-Claim": "granted" if claimed else "none"},
-            )
+            self._send_json(404, {"miss": True})
             return
         self._send_json(200, json.loads(encode_record(key, result)))
 

@@ -1,18 +1,19 @@
 """The HTTP run-cache backend and its server-side cache surface.
 
 Covers the wire store (:class:`RemoteRunCache` against a live
-:class:`CampaignServer`), the fleet-wide single-flight claim protocol
-(each cold key executes once per claim window no matter how many
-clients stampede it), TTL expiry on the local backends that the
-served store builds on, and the in-process
+:class:`CampaignServer`) as a plain key-value store, TTL expiry on the
+local backends that the served store builds on, and the in-process
 :class:`CacheService` primitives.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import threading
 import time
+import urllib.error
+import urllib.request
 from collections import Counter
 
 import pytest
@@ -131,45 +132,39 @@ class TestRemoteRoundTrip:
         assert store_identity("http://h:1") != store_identity("http://h:2")
 
 
-class TestFleetSingleFlight:
-    def test_stampede_executes_exactly_once(self, cache_server):
-        executions = []
-        results = []
-        barrier = threading.Barrier(4)
+class TestPlainKeyValue:
+    def test_unwritten_miss_never_stalls_another_reader(self, cache_server):
+        # A misses and never puts, as an early-exit-skipped replica
+        # does; B's read of the same key is still an immediate miss.
+        first = RemoteRunCache(cache_server.url)
+        second = RemoteRunCache(cache_server.url)
+        try:
+            assert first.get(KEY) is None
+            started = time.monotonic()
+            assert second.get(KEY) is None
+            assert time.monotonic() - started < 1.0
+            # Both execute and both put: the second put upserts.
+            second.put(KEY, _result())
+            first.put(KEY, _result())
+            assert len(first) == 1
+            assert first.get(KEY).to_dict() == _result().to_dict()
+        finally:
+            first.close()
+            second.close()
+        with urllib.request.urlopen(f"{cache_server.url}/cache/stats") as reply:
+            counters = json.load(reply)["counters"]
+        assert counters == {"hits": 1, "misses": 2}
 
-        def contender():
-            store = RemoteRunCache(cache_server.url, claim_wait_s=10.0)
-            barrier.wait()
-            hit = store.get(KEY)
-            if hit is None:
-                executions.append(threading.current_thread().name)
-                store.put(KEY, _result())
-                hit = _result()
-            results.append(hit.to_dict())
-
-        threads = [
-            threading.Thread(target=contender) for _ in range(4)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30.0)
-        assert len(executions) == 1
-        assert results == [_result().to_dict()] * 4
-        counters = cache_server.cache.counters()
-        assert counters["claims_granted"] == 1
-        assert counters["coalesced"] >= 1
-        assert counters["claims_open"] == 0
-
-    def test_claimless_client_never_blocks(self, cache_server):
-        # claim=False makes every get a plain read: an immediate miss
-        # even while another client holds the key's claim.
-        holder = RemoteRunCache(cache_server.url)
-        assert holder.get(KEY) is None  # takes the claim
-        reader = RemoteRunCache(cache_server.url, claim=False)
+    def test_old_claim_query_is_ignored(self, cache_server):
+        url = f"{cache_server.url}/cache/{encode_key_id(KEY)}?claim=1&wait=5"
         started = time.monotonic()
-        assert reader.get(KEY) is None
-        assert time.monotonic() - started < 5.0
+        with pytest.raises(urllib.error.HTTPError) as caught:
+            urllib.request.urlopen(url)
+        assert time.monotonic() - started < 1.0
+        assert caught.value.code == 404
+        assert json.loads(caught.value.read()) == {"miss": True}
+        assert "X-Loupe-Claim" not in caught.value.headers
+        caught.value.close()
 
 
 class TestConnectionReuse:
@@ -197,7 +192,7 @@ class TestConnectionReuse:
         self, cache_server
     ):
         errors = []
-        with RemoteRunCache(cache_server.url, claim=False) as store:
+        with RemoteRunCache(cache_server.url) as store:
 
             def caller(name: str, base: int) -> None:
                 try:
@@ -253,54 +248,61 @@ class TestConnectionReuse:
         assert _settles(threading.active_count, threads)
         fds = len(os.listdir("/proc/self/fd"))
 
-        other = KEY[:3] + (1,)
-        holder = RemoteRunCache(cache_server.url)
-        assert holder.get(other) is None  # takes the claim
-        waiter = RemoteRunCache(cache_server.url, claim_wait_s=10.0)
+        entered = threading.Event()
+        release = threading.Event()
+
+        class _HeldGet(CampaignRequestHandler):
+            def _send_cache_get(self, key_id) -> None:
+                entered.set()
+                release.wait(10.0)
+                super()._send_cache_get(key_id)
+
+        cache_server._httpd.RequestHandlerClass = _HeldGet
+        store = RemoteRunCache(cache_server.url)
         answers = []
         parked = threading.Thread(target=lambda: answers.append(
-            waiter.get(other)
+            store.get(KEY)
         ))
         parked.start()
-        # The waiter's reply is held until the holder publishes; close
-        # the waiter meanwhile, with its connection still in use.
-        assert _settles(lambda: len(waiter._idle), 0)
-        waiter.close()
-        holder.put(other, _result())
+        # The reply is held until released; close the store meanwhile,
+        # with its connection still in use.
+        assert entered.wait(5.0)
+        assert store._idle == []
+        store.close()
+        release.set()
         parked.join(timeout=30.0)
         assert answers[0].to_dict() == _result().to_dict()
-        assert waiter._idle == []  # closed on return, not pooled
-        holder.close()
-        holder.close()  # idempotent
+        assert store._idle == []  # closed on return, not pooled
+        store.close()  # idempotent
 
         assert _settles(threading.active_count, threads)
         assert _settles(lambda: len(os.listdir("/proc/self/fd")), fds)
 
         # Closed is not dead: the next operation reconnects.
-        assert holder.get(KEY).to_dict() == _result().to_dict()
-        holder.close()
+        assert store.get(KEY).to_dict() == _result().to_dict()
+        store.close()
         assert _settles(threading.active_count, threads)
 
-    def test_torn_claim_reply_is_not_retried(self, cache_server):
-        claims = []
+    def test_torn_get_reply_is_not_retried(self, cache_server):
+        gets = []
 
-        class _TornClaimReply(CampaignRequestHandler):
-            def _send_cache_get(self, key_id, query) -> None:
-                claims.append(key_id)
+        class _TornReply(CampaignRequestHandler):
+            def _send_cache_get(self, key_id) -> None:
+                gets.append(key_id)
                 self.send_response(404)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", "64")
                 self.end_headers()
-                self.wfile.write(b'{"miss": true, "cla')
+                self.wfile.write(b'{"mi')
                 self.close_connection = True
 
-        cache_server._httpd.RequestHandlerClass = _TornClaimReply
+        cache_server._httpd.RequestHandlerClass = _TornReply
         with RemoteRunCache(cache_server.url) as store:
-            # The ping left a pooled connection: the claim goes out on
-            # a reused one, where a retry would be most tempting.
+            # The ping left a pooled connection: the get goes out on a
+            # reused one, where a retry would be most tempting.
             with pytest.raises(CacheStoreError, match="cache server"):
                 store.get(KEY)
-        assert len(claims) == 1
+        assert len(gets) == 1
 
 
 def _settles(probe, target, timeout=5.0) -> bool:
@@ -389,43 +391,23 @@ class TestTTLCli:
 
 
 class TestCacheServiceUnit:
-    def test_claim_grant_and_publish(self, tmp_path):
+    def test_fetch_publish_and_counters(self, tmp_path):
         service = CacheService(open_store(tmp_path / "runs.jsonl"))
         try:
-            result, claimed = service.fetch(KEY, claim=True)
-            assert result is None and claimed
-            # A zero-budget waiter gets a plain miss, not the claim.
-            result, claimed = service.fetch(KEY, claim=True, wait_s=0.0)
-            assert result is None and not claimed
+            assert service.fetch(KEY) is None
             service.publish(KEY, _result())
-            result, claimed = service.fetch(KEY, claim=True)
-            assert result is not None and not claimed
-            counters = service.counters()
-            assert counters["hits"] == 1
-            assert counters["misses"] == 2
-            assert counters["claims_granted"] == 1
-            assert counters["claims_open"] == 0
+            assert service.fetch(KEY).to_dict() == _result().to_dict()
+            assert service.counters() == {"hits": 1, "misses": 1}
         finally:
             service.close()
 
-    def test_expired_claim_transfers(self, tmp_path):
-        service = CacheService(
-            open_store(tmp_path / "runs.jsonl"), lease_s=0.05
-        )
-        try:
-            assert service.fetch(KEY, claim=True) == (None, True)
-            time.sleep(0.1)
-            assert service.fetch(KEY, claim=True) == (None, True)
-            assert service.counters()["claims_granted"] == 2
-        finally:
-            service.close()
-
-    def test_lookup_is_claimless(self, tmp_path):
+    def test_lookup_is_a_batched_read(self, tmp_path):
         service = CacheService(open_store(tmp_path / "runs.jsonl"))
         try:
             service.publish(KEY, _result())
             found = service.lookup([KEY, ("b", "w", "f", 9)])
             assert set(found) == {KEY}
+            assert service.counters() == {"hits": 1, "misses": 1}
         finally:
             service.close()
 

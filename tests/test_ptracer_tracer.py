@@ -7,6 +7,7 @@ sub-feature decoding, and resource sampling.
 """
 
 import sys
+import time
 
 import pytest
 
@@ -97,12 +98,16 @@ class TestFaking:
 
 class TestTimeoutAndWhitelist:
     def test_timeout_kills_hung_process(self):
+        # The tracee sleeps without a syscall stop, so only a deadline
+        # enforced off the stop loop can end it within the budget.
+        started = time.monotonic()
         outcome = _trace(
             passthrough(),
             [sys.executable, "-c", "import time; time.sleep(60)"],
             timeout_s=1.5,
         )
         assert outcome.timed_out
+        assert time.monotonic() - started < 3.0
 
     def test_whitelist_excludes_other_binaries(self):
         """Syscalls from non-whitelisted binaries are not attributed
