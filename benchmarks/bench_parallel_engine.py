@@ -2,24 +2,25 @@
 
 The paper's run-time model (Section 3.3) is ``(2 + 2·t·s)·ceil(r/p)``:
 Loupe amortizes its run cost over a parallelism factor ``p``. This
-bench makes ``p`` observable in our reproduction, across all three
-executors and both cache tiers:
+bench makes ``p`` observable in our reproduction under *padded* cost
+models (labelled model rows, not real-workload numbers — the ledger for
+those is ``perfbench/``), for both local executors and both cache
+tiers:
 
-* **thread speedup** — the seven-app corpus is analyzed once with the
+* **latency model** — the seven-app corpus is analyzed once with the
   seed's strictly-serial semantics (``parallel=1``, cache and
-  early-exit off) and once with the threaded engine (``parallel=4``
-  replica fan-out plus 4 app-level jobs). Simulated runs complete in
+  early-exit off) and once on the process executor (``parallel=4``
+  worker processes plus 4 app-level jobs). Simulated runs complete in
   microseconds, so each run is padded with a small sleep modeling real
   workload wall time (the paper quotes 4 minutes to 1.5 days per
-  analysis — run latency, not scheduler CPU, is what threads hide).
-* **process speedup** — the same corpus with run cost modeled as
-  *GIL-bound compute*: a process-local lock stands in for the GIL, so
-  in-process worker threads serialize exactly as pure-Python compute
-  does, while worker processes proceed independently. The measured
-  overlap therefore depends only on the engine's sharding — not on
-  how many cores the bench machine happens to have. The acceptance
-  gate is ``executor="process"`` beating the thread path >= 2x at 4
-  shards.
+  analysis).
+* **GIL model** — the same corpus with run cost modeled as *GIL-bound
+  compute*: a process-local lock stands in for the GIL, so runs in one
+  process serialize exactly as pure-Python compute does, while worker
+  processes proceed independently. The measured overlap therefore
+  depends only on the engine's sharding — not on how many cores the
+  bench machine happens to have. The acceptance gate is
+  ``executor="process"`` beating serial >= 2x at 4 shards.
 * **equivalence** — every configuration must produce byte-identical
   ``AnalysisResult``s: the engine changes how fast an analysis runs,
   never what it concludes.
@@ -95,7 +96,7 @@ def _flush_results():
 
 class _TimedBackend:
     """Wraps a backend so every run costs ``RUN_COST_S`` of wall time
-    (latency-bound: sleeps release the GIL, so threads overlap it)."""
+    (latency-bound: the sleep holds no lock, so workers overlap it)."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -132,7 +133,7 @@ class _GilBoundBackend:
     process-local lock models the GIL on pure-Python compute), while
     separate worker processes pay it concurrently. This isolates what
     the process executor buys from how many cores the host exposes —
-    on any machine, threads cannot overlap this cost and processes
+    on any machine, one process cannot overlap this cost and several
     can, which is precisely the contention the appsim backend's
     CPU-bound simulation hits at scale."""
 
@@ -154,7 +155,7 @@ class _GilBoundBackend:
 def _analyze_corpus(
     apps, workload_name, *,
     parallel, jobs, cache, early_exit,
-    executor="auto", wrap=_TimedBackend,
+    executor="serial", wrap=_TimedBackend,
 ):
     """Analyze every app with fresh wrapped backends; returns (results, stats)."""
 
@@ -197,25 +198,27 @@ def test_parallel_engine_speedup(seven_app_set):
     parallel_results, parallel_stats = _analyze_corpus(
         apps, "bench",
         parallel=PARALLEL, jobs=PARALLEL, cache=True, early_exit=True,
+        executor="process",
     )
     parallel_s = time.monotonic() - started
     speedup = serial_s / parallel_s
 
-    print(f"\n=== Thread sharding: {len(apps)}-app corpus (bench) ===")
+    print(f"\n=== Process sharding, latency model: {len(apps)}-app "
+          f"corpus (bench) ===")
     print(f"run cost model: {RUN_COST_S * 1000:.1f} ms of latency per run")
-    print(f"serial   (p=1, no cache, no early-exit): {serial_s:6.2f}s  "
+    print(f"serial    (p=1, no cache, no early-exit): {serial_s:6.2f}s  "
           f"[{serial_stats.describe()}]")
-    print(f"threads  (p={PARALLEL}, {PARALLEL} jobs, cache, early-exit): "
+    print(f"processes (p={PARALLEL}, {PARALLEL} jobs, cache, early-exit): "
           f"{parallel_s:6.2f}s  [{parallel_stats.describe()}]")
     print(f"speedup: {speedup:.2f}x")
     model = estimated_runtime_s(1.0, 40, replicas=3, parallel=1) / \
         estimated_runtime_s(1.0, 40, replicas=3, parallel=3)
     print(f"(paper model predicts {model:.0f}x from replica fan-out alone)")
 
-    _RESULTS["thread"] = {
+    _RESULTS["latency_model"] = {
         "apps": len(apps),
         "serial_s": round(serial_s, 3),
-        "thread_s": round(parallel_s, 3),
+        "process_s": round(parallel_s, 3),
         "speedup": round(speedup, 2),
         "cache_hit_rate": round(parallel_stats.hit_rate, 3),
     }
@@ -227,21 +230,21 @@ def test_parallel_engine_speedup(seven_app_set):
 
 
 def test_process_shard_speedup(seven_app_set):
-    """Process sharding must beat the PR 1 thread path >= 2x on
-    GIL-bound run cost, without changing a byte of any report."""
+    """Process sharding must beat serial execution >= 2x on GIL-bound
+    run cost, without changing a byte of any report."""
     apps = _reduced(seven_app_set)
-    serial_results, _ = _analyze_corpus(
+    reference_results, _ = _analyze_corpus(
         apps, "bench",
         parallel=1, jobs=1, cache=True, early_exit=True, wrap=None,
     )
 
     started = time.monotonic()
-    thread_results, thread_stats = _analyze_corpus(
+    serial_results, serial_stats = _analyze_corpus(
         apps, "bench",
-        parallel=PARALLEL, jobs=1, cache=True, early_exit=True,
-        executor="thread", wrap=_GilBoundBackend,
+        parallel=1, jobs=1, cache=True, early_exit=True,
+        wrap=_GilBoundBackend,
     )
-    thread_s = time.monotonic() - started
+    serial_s = time.monotonic() - started
 
     started = time.monotonic()
     process_results, process_stats = _analyze_corpus(
@@ -250,30 +253,30 @@ def test_process_shard_speedup(seven_app_set):
         executor="process", wrap=_GilBoundBackend,
     )
     process_s = time.monotonic() - started
-    speedup = thread_s / process_s
+    speedup = serial_s / process_s
 
-    print(f"\n=== Process sharding: {len(apps)}-app corpus, GIL-bound "
-          f"cost ({RUN_COST_S * 1000:.1f} ms/run) ===")
-    print(f"threads   (p={PARALLEL}): {thread_s:6.2f}s  "
-          f"[{thread_stats.describe()}]")
+    print(f"\n=== Process sharding, GIL model: {len(apps)}-app corpus, "
+          f"GIL-bound cost ({RUN_COST_S * 1000:.1f} ms/run) ===")
+    print(f"serial    (p=1): {serial_s:6.2f}s  "
+          f"[{serial_stats.describe()}]")
     print(f"processes (p={PARALLEL}): {process_s:6.2f}s  "
           f"[{process_stats.describe()}]")
-    print(f"process-over-thread speedup: {speedup:.2f}x")
+    print(f"process-over-serial speedup: {speedup:.2f}x")
 
     _RESULTS["process"] = {
         "apps": len(apps),
-        "thread_s": round(thread_s, 3),
+        "serial_s": round(serial_s, 3),
         "process_s": round(process_s, 3),
-        "speedup_over_thread": round(speedup, 2),
+        "speedup_over_serial": round(speedup, 2),
         "runs_executed": process_stats.runs_executed,
     }
     # Sharding across processes must not change conclusions either.
-    assert _digest(process_results) == _digest(serial_results)
-    assert _digest(thread_results) == _digest(serial_results)
-    # The tentpole acceptance point: >= 2x over the thread path.
+    assert _digest(process_results) == _digest(reference_results)
+    assert _digest(serial_results) == _digest(reference_results)
+    # The acceptance point: >= 2x over serial execution.
     floor = 2.0 if len(apps) == len(seven_app_set) else 1.3
     assert speedup >= floor, (
-        f"process sharding only {speedup:.2f}x over threads"
+        f"process sharding only {speedup:.2f}x over serial"
     )
 
 

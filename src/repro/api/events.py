@@ -280,7 +280,7 @@ class EngineStatsEvent(AnalysisEvent):
     ``persistent_hits`` counts the subset of ``cache_hits`` answered
     from the on-disk cross-campaign run cache rather than this
     analysis's own LRU; ``executor`` names the resolved sharding
-    strategy (``serial``/``thread``/``process``). Both default to
+    strategy (``serial``/``process``/``remote``). Both default to
     their no-op values so pre-existing consumers (and the legacy
     string transcript) are unaffected when the features are off.
     """

@@ -66,6 +66,7 @@ from repro.api.session import AnalysisRequest, LoupeSession
 from repro.appsim.corpus import CLOUD_APPS, cloud_apps, corpus
 from repro.core.analyzer import AnalyzerConfig
 from repro.core.cachestore import CacheStoreError, migrate_store, open_store
+from repro.core.engine import EXECUTORS
 from repro.core.faults import ProbeFaultError
 from repro.db import Database
 from repro.errors import AnalysisCancelledError, LoupeError, PlanError
@@ -263,6 +264,16 @@ def _print_analysis(result) -> None:
         print("WARNING: final combined run failed; conflicts:", result.conflicts)
 
 
+def _remote_without_workers(args: argparse.Namespace) -> bool:
+    """Report ``--executor remote`` given no fleet to ship chunks to."""
+    if args.executor == "remote" and not args.workers:
+        print("--executor remote needs --workers HOST:PORT[,...] "
+              "(start them with: loupe worker --port PORT)",
+              file=sys.stderr)
+        return True
+    return False
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     if args.no_cache and args.run_cache:
         print("--run-cache requires run memoization; drop --no-cache",
@@ -276,10 +287,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         print("--run-cache-ttl requires --run-cache; there is no "
               "persistent store to age out", file=sys.stderr)
         return 2
-    if args.executor == "remote" and not args.workers:
-        print("--executor remote needs --workers HOST:PORT[,...] "
-              "(start them with: loupe worker --port PORT)",
-              file=sys.stderr)
+    if _remote_without_workers(args):
         return 2
     from repro.fabric.executor import parse_worker_list
 
@@ -365,10 +373,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    if args.executor == "remote" and not args.workers:
-        print("--executor remote needs --workers HOST:PORT[,...] "
-              "(start them with: loupe worker --port PORT)",
-              file=sys.stderr)
+    if _remote_without_workers(args):
         return 2
     from repro.fabric.executor import parse_worker_list
 
@@ -1031,19 +1036,15 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--pseudofiles", action="store_true")
     analyze.add_argument("--timeout", type=float, default=60.0)
     analyze.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                         help="probe-engine worker pool width (replicas "
-                              "of one probe run concurrently; default 1)")
-    analyze.add_argument("--executor",
-                         choices=("auto", "serial", "thread", "process",
-                                  "remote"),
-                         default="auto",
-                         help="probe sharding strategy at --jobs > 1: "
-                              "threads overlap run latency, processes "
-                              "shard CPU-bound simulated runs past the "
-                              "GIL, remote ships chunks to a worker "
-                              "fleet (--workers) (backends that cannot "
-                              "shard fall back automatically; "
-                              "default: auto)")
+                         help="worker-process pool width for --executor "
+                              "process (default 1)")
+    analyze.add_argument("--executor", choices=EXECUTORS, default="auto",
+                         help="probe sharding strategy: serial runs "
+                              "probes inline, process shards them over "
+                              "--jobs worker processes, remote ships "
+                              "chunks to a worker fleet (--workers); "
+                              "backends that cannot shard run serially "
+                              "(default: auto, which is serial)")
     analyze.add_argument("--workers", metavar="HOST:PORT[,HOST:PORT...]",
                          default=None,
                          help="worker fleet for --executor remote: "
@@ -1093,11 +1094,11 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--pseudofiles", action="store_true")
     compare.add_argument("--timeout", type=float, default=60.0)
     compare.add_argument("--jobs", type=_positive_int, default=1, metavar="N",
-                         help="probe-engine worker pool width per target")
-    compare.add_argument("--executor",
-                         choices=("auto", "serial", "thread", "process",
-                                  "remote"),
-                         default="auto")
+                         help="worker-process pool width per target for "
+                              "--executor process")
+    compare.add_argument("--executor", choices=EXECUTORS, default="auto",
+                         help="probe sharding strategy, as for analyze "
+                              "(default: auto, which is serial)")
     compare.add_argument("--workers", metavar="HOST:PORT[,HOST:PORT...]",
                          default=None,
                          help="worker fleet for --executor remote")
@@ -1370,12 +1371,11 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("--pseudofiles", action="store_true")
     submit.add_argument("--jobs", type=_positive_int, default=1,
                         metavar="N",
-                        help="probe-engine worker pool width inside "
-                             "the campaign")
-    submit.add_argument("--executor",
-                        choices=("auto", "serial", "thread", "process",
-                                 "remote"),
-                        default="auto")
+                        help="worker-process pool width inside the "
+                             "campaign for --executor process")
+    submit.add_argument("--executor", choices=EXECUTORS, default="auto",
+                        help="probe sharding strategy, as for analyze "
+                             "(default: auto, which is serial)")
     submit.add_argument("--workers", metavar="HOST:PORT[,HOST:PORT...]",
                         default=None,
                         help="worker fleet the job's remote executor "

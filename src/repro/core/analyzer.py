@@ -17,10 +17,11 @@ workload, the analyzer:
    features to REQUIRED before re-verifying.
 
 Every run goes through a :class:`~repro.core.engine.ProbeEngine` — the
-paper's parallelism factor ``p`` made concrete: ``AnalyzerConfig.parallel``
-fans runs over a worker pool (``AnalyzerConfig.executor`` picks thread
-or process sharding), ``AnalyzerConfig.cache`` memoizes run results so
-the confirmation/bisection stages reuse probe-phase runs,
+paper's parallelism factor ``p`` made concrete:
+``AnalyzerConfig.executor`` picks serial execution, a worker-process
+pool ``AnalyzerConfig.parallel`` wide, or a remote worker fleet,
+``AnalyzerConfig.cache`` memoizes run results so the
+confirmation/bisection stages reuse probe-phase runs,
 ``AnalyzerConfig.run_cache`` extends that memoization to an on-disk
 store shared across campaigns, and ``AnalyzerConfig.early_exit`` stops
 replicating a probe once one replica has already failed it. Stage 2
@@ -103,15 +104,16 @@ class AnalyzerConfig:
     metric_margin: float = DEFAULT_MARGIN
     bisect_conflicts: bool = True
     max_demotion_rounds: int = 4
-    #: Worker-pool width of the probe engine: the paper's parallelism
-    #: factor ``p`` in ``(2 + 2·t·s)·ceil(r/p)``. ``1`` preserves the
-    #: historical strictly-serial execution order.
+    #: Worker-process pool width under ``executor="process"``: the
+    #: paper's parallelism factor ``p`` in ``(2 + 2·t·s)·ceil(r/p)``.
+    #: ``1`` preserves the historical strictly-serial execution order.
     parallel: int = 1
-    #: Sharding strategy at ``parallel > 1``: ``"thread"`` overlaps run
-    #: latency, ``"process"`` shards CPU-bound runs past the GIL for
-    #: backends that declare themselves process-safe (others degrade
-    #: to threads; non-parallel-safe backends always run serially),
-    #: ``"serial"`` disables sharding, ``"auto"`` means threads.
+    #: Sharding strategy: ``"process"`` shards runs over ``parallel``
+    #: worker processes, ``"remote"`` over the ``workers`` fleet (both
+    #: only for backends that declare themselves process-safe and
+    #: pickle; others run serially), ``"serial"`` and ``"auto"`` run
+    #: every probe inline. ``"auto"`` stays accepted because stored
+    #: job specs carry it.
     executor: str = "auto"
     #: Memoize run results so the combined-run confirmation and the
     #: ddmin bisection never re-execute a run the probe phase paid for.
@@ -675,25 +677,24 @@ class Analyzer:
         feature order, so reports and event ordering are
         byte-identical to the feature-at-a-time loop. The wave size
         bounds progress *liveness*: ``FeatureProbed`` events fire at
-        wave ends, and when the backend executes serially anyway
-        (``parallel=1``, or a non-parallel-safe backend such as
-        ptrace, where runs are slowest and progress matters most) the
-        wave shrinks to a single feature — the exact historical
-        streaming.
+        wave ends, and when the backend executes serially (the
+        ``serial``/``auto`` executors, or a backend that cannot shard,
+        such as ptrace, where runs are slowest and progress matters
+        most) the wave shrinks to a single feature — the exact
+        historical streaming.
         """
         mode = self.engine.mode_for(backend)
         if mode == "serial":
             wave = 1
         elif mode == "process":
-            # Chunked IPC makes wave boundaries costlier than in the
-            # thread pool, and process-shardable backends are fast
-            # simulations — trade some event granularity for keeping
-            # the workers fed.
+            # Each wave boundary drains the pool, and process-shardable
+            # backends are fast simulations — trade some event
+            # granularity for keeping the workers fed.
             wave = max(32, 8 * self.engine.parallel)
         else:
-            # A few features per worker keeps the pool full inside a
-            # wave while the drain bubble at each wave boundary stays
-            # a tiny fraction of the wave's runs.
+            # remote: a few features per unit of ``parallel`` keeps the
+            # fleet busy inside a wave while each boundary stays a
+            # short, cancellable step.
             wave = max(8, 2 * self.engine.parallel)
         actions = (Action.STUB, Action.FAKE)
         probes: dict[str, _FeatureProbe] = {}

@@ -6,12 +6,13 @@ This module supplies that ``p``: a :class:`ProbeEngine` turns the
 analyzer's implicit run loop into an explicit scheduler that
 
 * fans run requests out over a pluggable executor —
-  ``executor="serial"`` preserves exact serial semantics,
-  ``"thread"`` overlaps run *latency* on a ``ThreadPoolExecutor``
-  (enough for I/O-bound real workloads), and ``"process"`` shards
-  CPU-bound runs over a ``ProcessPoolExecutor``, lifting the GIL cap
-  for backends that declare themselves process-safe (``"auto"`` picks
-  serial at ``parallel=1`` and threads otherwise),
+  ``executor="serial"`` runs every probe inline in the exact
+  historical order, ``"process"`` shards runs over a
+  ``ProcessPoolExecutor`` in pickled chunks for backends that declare
+  themselves process-safe, and ``"remote"`` ships the same chunks to
+  a TCP worker fleet (:mod:`repro.fabric`); ``"auto"``, the default,
+  means serial, because no sharded path beats it on a simulated
+  campaign,
 * accepts whole probe *batches* (:meth:`ProbeEngine.run_probe_batch`):
   every ``(policy, replica)`` pair of an analysis stage is submitted
   up front, so the pool stays full across features instead of
@@ -47,12 +48,11 @@ separate cache files (the simulation backends embed name *and*
 version in their backend name for exactly this reason).
 
 Executor fallback is per-backend and always conservative: a backend
-whose capabilities do not include ``parallel_safe`` runs serially no
-matter what was requested; a ``process`` request degrades to threads
-when the backend fails :func:`~repro.core.runner.process_shardable`
-(capabilities without ``process_safe``, or not picklable). Capability
-descriptors resolve once per backend object through
-:meth:`ProbeEngine.capabilities_for`.
+whose capabilities do not include ``parallel_safe``, or that fails
+:func:`~repro.core.runner.process_shardable` (capabilities without
+``process_safe``, or not picklable), runs serially no matter what was
+requested. Capability descriptors resolve once per backend object
+through :meth:`ProbeEngine.capabilities_for`.
 
 Run submission (:meth:`ProbeEngine.run` / :meth:`ProbeEngine.run_replicas`
 / :meth:`ProbeEngine.run_probe_batch`) is thread-safe; the engine is
@@ -120,25 +120,18 @@ DEFAULT_CACHE_SIZE = 4096
 CacheKey = tuple[str, str, str, int]
 
 #: Accepted values of ``ProbeEngine(executor=...)``.
-EXECUTORS = ("auto", "serial", "thread", "process", "remote")
+EXECUTORS = ("auto", "serial", "process", "remote")
 
 #: Target chunks per process-pool worker: enough slack for the pool to
 #: load-balance, few enough that per-chunk IPC stays negligible.
 _CHUNKS_PER_WORKER = 8
 
-#: The process-wide shared worker pools (see :func:`_shared_process_pool`
-#: and :func:`_shared_thread_pool`). Starting worker processes is the
+#: The process-wide shared worker-process pool (see
+#: :func:`_shared_process_pool`). Starting worker processes is the
 #: single most expensive thing this module does — every engine of the
-#: process shares one pool instead of paying it per analysis. The
-#: thread pool is shared for a different reason: concurrent analyzers
-#: (``analyze_many(jobs=N)``) each sizing a private probe pool would
-#: multiply ``jobs × parallel`` threads and oversubscribe the machine;
-#: one shared pool caps probe concurrency at the widest ``parallel``
-#: requested, no matter how many analyses run at once.
+#: process shares one pool instead of paying it per analysis.
 _PROCESS_POOL: "concurrent.futures.ProcessPoolExecutor | None" = None
 _PROCESS_POOL_WIDTH = 0
-_THREAD_POOL: "concurrent.futures.ThreadPoolExecutor | None" = None
-_THREAD_POOL_WIDTH = 0
 _POOL_LOCK = threading.Lock()
 #: Pools displaced by a wider request. They stay alive — an engine
 #: that fetched one may still be mid-batch, and shutting it down under
@@ -146,7 +139,7 @@ _POOL_LOCK = threading.Lock()
 #: :func:`shutdown_worker_pools` reclaims everything. Bounded by the
 #: number of distinct pool growths in one process (rare: campaigns
 #: run at one width).
-_RETIRED_POOLS: list[concurrent.futures.Executor] = []
+_RETIRED_POOLS: list[concurrent.futures.ProcessPoolExecutor] = []
 
 
 def _process_context() -> "multiprocessing.context.BaseContext":
@@ -171,13 +164,13 @@ def _shared_process_pool(width: int) -> concurrent.futures.Executor:
     """The process-wide worker-process pool, at least *width* wide.
 
     Worker processes are expensive to start (fork-eagerly, or a full
-    interpreter under spawn/forkserver) and — unlike threads — hold no
-    per-analysis state: tasks carry everything they need. So one pool
+    interpreter under spawn/forkserver) and hold no per-analysis
+    state: tasks carry everything they need. So one pool
     serves every engine of the process, created on first use and
     grown (never shrunk) when a wider engine comes along; a campaign
     over N applications pays pool start-up once, not N times.
     ``ProbeEngine.close()`` deliberately leaves it alone; call
-    :func:`shutdown_process_pool` to reclaim the workers explicitly.
+    :func:`shutdown_worker_pools` to reclaim the workers explicitly.
     """
     global _PROCESS_POOL, _PROCESS_POOL_WIDTH
     with _POOL_LOCK:
@@ -195,59 +188,6 @@ def _shared_process_pool(width: int) -> concurrent.futures.Executor:
             pool.submit(int).result()
             _PROCESS_POOL, _PROCESS_POOL_WIDTH = pool, width
         return _PROCESS_POOL
-
-
-def _new_thread_pool(width: int) -> concurrent.futures.ThreadPoolExecutor:
-    """Build a probe thread pool (split out so tests can count it)."""
-    return concurrent.futures.ThreadPoolExecutor(
-        max_workers=width, thread_name_prefix="loupe-probe"
-    )
-
-
-def _shared_thread_pool(width: int) -> concurrent.futures.Executor:
-    """The process-wide probe thread pool, at least *width* wide.
-
-    One pool serves every engine of the process, so app-level
-    concurrency (``analyze_many(jobs=N)``, each job with its own
-    analyzer and engine) and probe-level parallelism compose instead
-    of multiplying: total in-flight probe runs are capped by the
-    widest ``parallel`` any engine asked for, not ``jobs × parallel``.
-    Grown (never shrunk) when a wider engine comes along — displaced
-    pools retire until :func:`shutdown_worker_pools` reclaims them,
-    exactly like the process pool.
-    """
-    global _THREAD_POOL, _THREAD_POOL_WIDTH
-    with _POOL_LOCK:
-        if _THREAD_POOL is None or _THREAD_POOL_WIDTH < width:
-            if _THREAD_POOL is not None:
-                _RETIRED_POOLS.append(_THREAD_POOL)
-            _THREAD_POOL = _new_thread_pool(width)
-            _THREAD_POOL_WIDTH = width
-        return _THREAD_POOL
-
-
-def shutdown_process_pool() -> None:
-    """Shut the shared worker-process pool down (idempotent).
-
-    The next process-sharded run transparently starts a fresh pool.
-    Long-lived embedders can call it to reclaim the worker processes
-    while keeping the (cheap) thread pool warm;
-    :func:`shutdown_worker_pools` reclaims both.
-    """
-    global _PROCESS_POOL, _PROCESS_POOL_WIDTH
-    with _POOL_LOCK:
-        pools = [
-            pool for pool in _RETIRED_POOLS
-            if isinstance(pool, concurrent.futures.ProcessPoolExecutor)
-        ]
-        for pool in pools:
-            _RETIRED_POOLS.remove(pool)
-        if _PROCESS_POOL is not None:
-            pools.append(_PROCESS_POOL)
-        _PROCESS_POOL = None
-        _PROCESS_POOL_WIDTH = 0
-    for pool in pools:
-        pool.shutdown(wait=True)
 
 
 def _replace_broken_process_pool(broken: concurrent.futures.Executor) -> None:
@@ -269,30 +209,22 @@ def _replace_broken_process_pool(broken: concurrent.futures.Executor) -> None:
 
 
 def shutdown_worker_pools() -> None:
-    """Shut both shared worker pools down (idempotent).
+    """Shut the shared worker-process pool down (idempotent).
 
-    The next scheduled run transparently starts fresh pools.
+    The next process-sharded run transparently starts a fresh pool.
     Registered at interpreter exit; long-lived embedders can call it
-    earlier to reclaim the worker threads and processes — including
-    while other threads are mid-batch: shutdown waits for in-flight
-    runs, and the thread-sharded submit loop re-fetches a replacement
-    pool when it finds its pool shut.
+    earlier to reclaim the worker processes.
     """
-    global _THREAD_POOL, _THREAD_POOL_WIDTH
+    global _PROCESS_POOL, _PROCESS_POOL_WIDTH
     with _POOL_LOCK:
-        pools: list[concurrent.futures.Executor] = [
-            pool for pool in _RETIRED_POOLS
-            if isinstance(pool, concurrent.futures.ThreadPoolExecutor)
-        ]
-        for pool in pools:
-            _RETIRED_POOLS.remove(pool)
-        if _THREAD_POOL is not None:
-            pools.append(_THREAD_POOL)
-        _THREAD_POOL = None
-        _THREAD_POOL_WIDTH = 0
+        pools = list(_RETIRED_POOLS)
+        _RETIRED_POOLS.clear()
+        if _PROCESS_POOL is not None:
+            pools.append(_PROCESS_POOL)
+        _PROCESS_POOL = None
+        _PROCESS_POOL_WIDTH = 0
     for pool in pools:
         pool.shutdown(wait=True)
-    shutdown_process_pool()
 
 
 atexit.register(shutdown_worker_pools)
@@ -371,9 +303,9 @@ class _ProcessChunkPool:
     and retries once.
     """
 
-    def __init__(self, engine: "ProbeEngine") -> None:
-        self._engine = engine
-        self._pool = engine._pool("process")
+    def __init__(self, width: int) -> None:
+        self._width = width
+        self._pool = _shared_process_pool(self._width)
         #: In-flight future -> the pool it was submitted to.
         self._futures: dict[
             concurrent.futures.Future, concurrent.futures.Executor
@@ -382,7 +314,7 @@ class _ProcessChunkPool:
     def _replace(self, broken: concurrent.futures.Executor) -> None:
         if broken is self._pool:
             _replace_broken_process_pool(broken)
-            self._pool = self._engine._pool("process")
+            self._pool = _shared_process_pool(self._width)
 
     def submit(self, job: tuple) -> concurrent.futures.Future:
         try:
@@ -487,17 +419,18 @@ class ProbeEngine:
     Parameters
     ----------
     parallel:
-        Worker-pool width. ``1`` (the default) runs every replica
-        inline on the calling thread, byte-for-byte preserving the
-        serial execution order, regardless of *executor*.
+        Width of the worker-process pool under ``executor="process"``;
+        ``1`` (the default) runs every replica inline on the calling
+        thread, byte-for-byte preserving the serial execution order.
+        The other executors ignore it for scheduling (the analyzer
+        still sizes its probe waves from it).
     executor:
-        The sharding strategy at ``parallel > 1``: ``"thread"`` fans
-        runs over a ``ThreadPoolExecutor`` (overlaps run latency;
-        CPU-bound backends stay GIL-capped), ``"process"`` shards them
-        over a ``ProcessPoolExecutor`` (full CPU scaling, for backends
-        passing :func:`~repro.core.runner.process_shardable` —
-        others degrade to threads), ``"serial"`` disables sharding
-        outright, and ``"auto"`` (the default) means threads.
+        The sharding strategy: ``"process"`` shards runs over a
+        ``ProcessPoolExecutor`` at ``parallel > 1``, ``"remote"``
+        ships them to the *workers* fleet (both only for backends
+        passing :func:`~repro.core.runner.process_shardable` — others
+        run serially), and ``"serial"`` and ``"auto"`` (the default)
+        run every probe inline.
     cache:
         Enable run-result memoization. Disabling it forces every
         request through the backend (useful for benchmarking the raw
@@ -606,33 +539,30 @@ class ProbeEngine:
 
     @property
     def executor_name(self) -> str:
-        """The resolved sharding strategy
-        (``serial``/``thread``/``process``/``remote``).
+        """The resolved sharding strategy (``serial``/``process``/``remote``).
 
         Per-backend capability fallback can still demote an individual
-        scheduling call below this (see :meth:`run_probe_batch`).
+        scheduling call to ``serial`` (see :meth:`mode_for`).
         ``remote`` resolves regardless of ``parallel`` — fleet width
-        comes from the worker count, not this engine's thread budget.
+        comes from the worker count, not this engine's pool width.
         """
         if self.executor == "remote":
             return "remote"
-        if self.parallel == 1 or self.executor == "serial":
-            return "serial"
-        if self.executor == "process":
+        if self.executor == "process" and self.parallel > 1:
             return "process"
-        return "thread"
+        return "serial"
 
     def close(self) -> None:
         """Release this engine's hold on scheduling state (idempotent).
 
-        The worker pools — thread and process alike — are process-wide
-        and deliberately survive this call for the other engines of
-        the process (:func:`shutdown_worker_pools` reclaims them
-        explicitly); the engine stays usable, re-fetching a pool — at
-        the *current* ``parallel`` width — on the next scheduling
-        call. The fabric connection, by contrast, is this engine's
-        own: it is torn down here (workers survive a scheduler hangup
-        and serve the next connection). Kept as an explicit lifecycle
+        The worker-process pool is process-wide and deliberately
+        survives this call for the other engines of the process
+        (:func:`shutdown_worker_pools` reclaims it explicitly); the
+        engine stays usable, re-fetching the pool — at the *current*
+        ``parallel`` width — on the next scheduling call. The fabric
+        connection, by contrast, is this engine's own: it is torn down
+        here (workers survive a scheduler hangup and serve the next
+        connection). Kept as an explicit lifecycle
         point so analyzers and sessions can context-manage engines
         uniformly.
         """
@@ -659,15 +589,6 @@ class ProbeEngine:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-    def _pool(self, kind: str) -> concurrent.futures.Executor:
-        # Both pool kinds are process-wide: worker processes because
-        # they are stateless and expensive to start, worker threads so
-        # concurrent analyzers share one probe budget instead of
-        # stacking jobs × parallel threads.
-        if kind == "process":
-            return _shared_process_pool(self.parallel)
-        return _shared_thread_pool(self.parallel)
-
     def capabilities_for(self, backend: ExecutionBackend) -> BackendCapabilities:
         """The backend's capability descriptor, resolved once per object.
 
@@ -689,13 +610,13 @@ class ProbeEngine:
     def mode_for(self, backend: ExecutionBackend) -> str:
         """The executor one backend's probes actually get.
 
-        Sharding of any kind requires the backend's capability
-        contract to declare ``parallel_safe``: overlapping replicas of
-        a live command (the ptrace backend) would contend on ports and
-        on-disk state and corrupt each other's outcomes. Process
-        sharding additionally requires the backend to survive
-        pickling; declared-but-unshardable backends degrade to the
-        thread pool rather than failing inside it. The (potentially
+        Sharding requires the backend's capability contract to declare
+        ``parallel_safe``: overlapping replicas of a live command (the
+        ptrace backend) would contend on ports and on-disk state and
+        corrupt each other's outcomes. Both sharded executors ship the
+        backend as a pickle — to a pool child or over a socket — so
+        the backend must also survive pickling; one that does not runs
+        serially rather than failing inside the pool. The (potentially
         costly) pickle check runs once per backend object, not once
         per scheduling call — the verdict cannot change mid-analysis.
         """
@@ -705,24 +626,17 @@ class ProbeEngine:
         capabilities = self.capabilities_for(backend)
         if not capabilities.parallel_safe:
             return "serial"
-        if kind in ("process", "remote"):
-            # Both ship the backend as a pickle — to a pool child or
-            # over a socket — so both need the same shardable verdict.
+        with self._lock:
+            cached = self._shard_verdicts.get(id(backend))
+        if cached is not None and cached[0] is backend:
+            shardable = cached[1]
+        else:
+            shardable = process_shardable(backend, capabilities=capabilities)
             with self._lock:
-                cached = self._shard_verdicts.get(id(backend))
-            if cached is not None and cached[0] is backend:
-                shardable = cached[1]
-            else:
-                shardable = process_shardable(
-                    backend, capabilities=capabilities
-                )
-                with self._lock:
-                    # The strong backend reference keeps the id stable
-                    # for the verdict's lifetime (cleared on reset).
-                    self._shard_verdicts[id(backend)] = (backend, shardable)
-            if not shardable:
-                return "thread" if self.parallel > 1 else "serial"
-        return kind
+                # The strong backend reference keeps the id stable for
+                # the verdict's lifetime (cleared on reset).
+                self._shard_verdicts[id(backend)] = (backend, shardable)
+        return kind if shardable else "serial"
 
     # -- accounting --------------------------------------------------------
 
@@ -742,7 +656,7 @@ class ProbeEngine:
     def reset(self) -> None:
         """Drop the LRU, zero the statistics, forget backend verdicts.
 
-        The next scheduling call re-fetches the shared pools at the
+        The next scheduling call re-fetches the shared pool at the
         current ``parallel`` width, so resizing an engine between
         campaigns takes effect here (a wider width grows the shared
         pool; narrower engines simply use fewer of its slots). The
@@ -1060,23 +974,15 @@ class ProbeEngine:
             (probe_index, replica): key
             for probe_index, replica, _policy, key in tasks
         }
-        if mode in ("process", "remote"):
-            self._dispatch_chunks(
-                mode, backend, workload, tasks, keys, collected, faulted,
-                failed, early_exit,
-            )
-        else:
-            self._dispatch_threads(
-                backend, workload, tasks, keys, collected, faulted,
-                failed, early_exit,
-            )
-        # Whatever was asked for but never ran — cancelled in time,
-        # skipped by a worker after an in-chunk failure, or never
-        # submitted after a cached failure — was skipped. Runs that won
-        # the cancellation race were collected above, and quarantined
-        # runs are accounted as faults, so the ``requested == executed
-        # + hits + skipped + faulted`` invariant holds regardless of
-        # how the race resolved.
+        self._dispatch_chunks(
+            mode, backend, workload, tasks, keys, collected, faulted,
+            early_exit,
+        )
+        # Whatever was asked for but never ran — skipped by a worker
+        # after an in-chunk failure, or never submitted after a cached
+        # failure — was skipped. Quarantined runs are accounted as
+        # faults, so ``requested == executed + hits + skipped +
+        # faulted`` holds.
         obtained = sum(len(by_replica) for by_replica in collected)
         obtained += sum(len(by_replica) for by_replica in faulted)
         missing = len(policies) * replicas - obtained
@@ -1093,112 +999,6 @@ class ProbeEngine:
             for by_replica, by_fault in zip(collected, faulted)
         ]
 
-    def _dispatch_threads(
-        self,
-        backend: ExecutionBackend,
-        workload: Workload,
-        tasks: Sequence[tuple[int, int, InterpositionPolicy, "CacheKey | None"]],
-        keys: dict[tuple[int, int], "CacheKey | None"],
-        collected: list[dict[int, RunResult]],
-        faulted: list[dict[int, ProbeFault]],
-        failed: list[bool],
-        early_exit: bool,
-    ) -> None:
-        """Thread sharding with bounded, lazy submission.
-
-        The thread pool is process-wide and may be wider than this
-        engine's ``parallel`` (grown by a wider engine, never shrunk).
-        Submitting lazily — at most ``parallel`` runs in flight, the
-        next entering as one completes — keeps ``parallel`` a true
-        per-engine bound on backend concurrency regardless of the
-        shared width, and sharpens early exit: a failed probe's
-        not-yet-submitted siblings are simply never submitted (the
-        eager version could only race to cancel them), while
-        already-running siblings are still cancelled best-effort.
-
-        With an active fault policy each run goes through
-        :func:`guarded_run` on its worker thread (timeout + retries);
-        exhausted runs are quarantined (degrade) or abort the batch
-        (fail). Faults never trigger early exit — only a decided
-        failure cancels a probe's siblings.
-        """
-        fault_policy = self.fault_policy
-        if fault_policy is not None and not fault_policy.active:
-            fault_policy = None
-        pool = self._pool("thread")
-        position = 0
-        active: "dict[concurrent.futures.Future, tuple[int, int, InterpositionPolicy]]" = {}
-
-        def start(policy: InterpositionPolicy, replica: int):
-            if fault_policy is not None:
-                return pool.submit(
-                    guarded_run, backend, workload, policy, replica,
-                    fault_policy,
-                )
-            return pool.submit(backend.run, workload, policy, replica=replica)
-
-        def submit_ready() -> None:
-            nonlocal position, pool
-            while position < len(tasks) and len(active) < self.parallel:
-                probe_index, replica, policy, _key = tasks[position]
-                position += 1
-                if early_exit and failed[probe_index]:
-                    continue  # a sibling already failed: never submit
-                try:
-                    future = start(policy, replica)
-                except RuntimeError:
-                    # The shared pool was shut down under us
-                    # (shutdown_worker_pools from another thread).
-                    # Its in-flight runs completed — shutdown waits —
-                    # so transparently re-fetch the replacement pool
-                    # and resubmit; a second failure is a real
-                    # interpreter-shutdown and propagates.
-                    pool = self._pool("thread")
-                    future = start(policy, replica)
-                active[future] = (probe_index, replica, policy)
-
-        submit_ready()
-        try:
-            while active:
-                done, _ = concurrent.futures.wait(
-                    active, return_when=concurrent.futures.FIRST_COMPLETED
-                )
-                for future in done:
-                    probe_index, replica, policy = active.pop(future)
-                    try:
-                        result = future.result()
-                    except concurrent.futures.CancelledError:
-                        continue
-                    if fault_policy is not None:
-                        outcome = result
-                        self._notify_retries(
-                            workload, policy, replica, outcome.failures,
-                            recovered=outcome.result is not None,
-                        )
-                        if outcome.faulted:
-                            fault = outcome.fault(workload, policy, replica)
-                            self._account_fault(fault)
-                            if not fault_policy.degrade:
-                                raise ProbeFaultError(fault)
-                            faulted[probe_index][replica] = fault
-                            continue
-                        result = outcome.result
-                    self._record(keys[(probe_index, replica)], result, policy)
-                    collected[probe_index][replica] = result
-                    if early_exit and not result.success \
-                            and not failed[probe_index]:
-                        failed[probe_index] = True
-                        for other, (other_probe, _, _) in active.items():
-                            if other_probe == probe_index:
-                                other.cancel()
-                submit_ready()
-        except BaseException:
-            # Mirror the serial path: a backend error ends the batch;
-            # don't let queued runs keep executing on discarded.
-            for other in active:
-                other.cancel()
-            raise
-
     def _dispatch_chunks(
         self,
         mode: str,
@@ -1208,7 +1008,6 @@ class ProbeEngine:
         keys: dict[tuple[int, int], "CacheKey | None"],
         collected: list[dict[int, RunResult]],
         faulted: list[dict[int, ProbeFault]],
-        failed: list[bool],
         early_exit: bool,
     ) -> None:
         """Chunk sharding over worker processes (``process``) or a
@@ -1248,7 +1047,7 @@ class ProbeEngine:
             abort = self._close_fabric
             died = "remote worker died on every attempt"
         else:
-            transport = _ProcessChunkPool(self)
+            transport = _ProcessChunkPool(self.parallel)
             width = self.parallel
             abort = transport.cancel
             died = "worker process died on every attempt"
@@ -1292,8 +1091,6 @@ class ProbeEngine:
                             policies[(probe_index, replica)],
                         )
                         collected[probe_index][replica] = row
-                        if early_exit and not row.success:
-                            failed[probe_index] = True
                     continue
                 if event == "failed":
                     raise body

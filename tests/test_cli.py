@@ -56,6 +56,23 @@ class TestAnalyze:
         assert "app: weborf" in out
         assert "engine:" in out
 
+    def test_jobs_alone_leaves_output_byte_identical(self, capsys):
+        """``--jobs`` sizes the process pool only; under the default
+        executor the whole output, ``engine:`` line included, is the
+        serial one."""
+        outputs = []
+        for jobs in ("1", "4"):
+            assert main(["analyze", "--app", "redis", "--jobs", jobs]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert "engine:" in outputs[0]
+        assert outputs[1] == outputs[0]
+
+    def test_analyze_rejects_thread_executor(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["analyze", "--app", "weborf", "--executor", "thread"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+
     def test_analyze_no_cache(self, capsys):
         code = main([
             "analyze", "--app", "weborf", "--workload", "health",

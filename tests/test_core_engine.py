@@ -259,15 +259,16 @@ class TestEarlyExit:
         """Backends not declaring parallel_safe never overlap replicas.
 
         Observable through early-exit accounting: the serial path skips
-        the replicas after a failure, the parallel path submits them
-        all up front.
+        the replicas after a failure, the sharded path ships them all
+        up front.
         """
 
         class _UnsafeBackend(_CountingBackend):
             parallel_safe = False
 
         backend = _UnsafeBackend(failing_features={"close"})
-        with ProbeEngine(parallel=3, cache=False) as engine:
+        with ProbeEngine(parallel=3, executor="process", cache=False) \
+                as engine:
             engine.run_replicas(
                 backend, benchmark("b", "m"), stubbing("close"), 3
             )
@@ -567,28 +568,30 @@ class TestEngineLifecycle:
         from repro.core import engine as engine_module
 
         engine_module.shutdown_worker_pools()
+        backend = SimBackend(_mixed_program())
         try:
-            engine = ProbeEngine(parallel=2, cache=False)
+            engine = ProbeEngine(parallel=2, executor="process", cache=False)
             engine.run_replicas(
-                _CountingBackend(), benchmark("b", "m"), stubbing("close"), 2
+                backend, benchmark("b", "m"), stubbing("close"), 2
             )
-            assert engine_module._THREAD_POOL is not None
-            assert engine_module._THREAD_POOL_WIDTH == 2
+            assert engine_module._PROCESS_POOL is not None
+            assert engine_module._PROCESS_POOL_WIDTH == 2
             engine.parallel = 4
             engine.reset()
             engine.run_replicas(
-                _CountingBackend(), benchmark("b", "m"), stubbing("close"), 2
+                backend, benchmark("b", "m"), stubbing("close"), 2
             )
             # The widened engine grew the shared pool on re-fetch.
-            assert engine_module._THREAD_POOL_WIDTH == 4
+            assert engine_module._PROCESS_POOL_WIDTH == 4
             engine.close()
         finally:
             engine_module.shutdown_worker_pools()
 
     def test_parallel_is_a_per_engine_bound_despite_wider_shared_pool(self):
-        """The shared pool only grows; a narrower engine must still
-        never run more than its own `parallel` backend runs at once
-        (bounded lazy submission)."""
+        """Under the default executor ``parallel`` is an upper bound
+        that local scheduling never reaches: however wide an engine
+        is, it starts no worker pool and never overlaps two backend
+        runs."""
         import time as time_module
 
         from repro.core import engine as engine_module
@@ -599,7 +602,7 @@ class TestEngineLifecycle:
             wide.run_replicas(
                 _CountingBackend(), benchmark("b", "m"), stubbing("close"), 8
             )
-            assert engine_module._THREAD_POOL_WIDTH == 8
+            assert engine_module._PROCESS_POOL is None
 
             class _ConcurrencyProbe(_CountingBackend):
                 def __init__(self):
@@ -626,73 +629,9 @@ class TestEngineLifecycle:
                 2,
             )
             assert backend.calls == 6
-            assert backend.peak <= 2, backend.peak
+            assert backend.peak == 1, backend.peak
         finally:
             engine_module.shutdown_worker_pools()
-
-    def test_thread_submission_recovers_from_concurrent_pool_shutdown(
-        self, monkeypatch
-    ):
-        """shutdown_worker_pools() may run while another thread is
-        mid-batch; the submit loop must re-fetch the replacement pool
-        instead of aborting the analysis on the shut one."""
-        from repro.core import engine as engine_module
-
-        engine_module.shutdown_worker_pools()
-        real = engine_module._shared_thread_pool
-        dead = engine_module._new_thread_pool(2)
-        dead.shutdown()
-        fetches = []
-
-        def flaky(width):
-            fetches.append(width)
-            if len(fetches) == 1:
-                return dead  # simulate a pool shut down mid-batch
-            return real(width)
-
-        monkeypatch.setattr(engine_module, "_shared_thread_pool", flaky)
-        try:
-            backend = _CountingBackend()
-            engine = ProbeEngine(parallel=2, cache=False)
-            outcomes = engine.run_probe_batch(
-                backend, benchmark("b", "m"),
-                [stubbing("close"), stubbing("uname")], 2,
-            )
-            assert all(o.all_succeeded for o in outcomes)
-            assert backend.calls == 4
-            assert len(fetches) == 2  # one stale fetch, one recovery
-            assert _stats_invariant(engine.stats), engine.stats
-        finally:
-            engine_module.shutdown_worker_pools()
-
-    def test_thread_pool_shared_across_engines(self):
-        """Probe threads are a process-wide budget: every engine uses
-        one shared pool (so analyze_many's app-level jobs and
-        probe-level parallelism compose instead of multiplying),
-        engine.close() leaves it running, and a wider engine grows it
-        instead of stacking a second pool."""
-        from repro.core import engine as engine_module
-
-        engine_module.shutdown_worker_pools()
-        try:
-            backend = SimBackend(_mixed_program())
-            workload = benchmark("b", "m")
-            with ProbeEngine(parallel=2, cache=False) as one:
-                one.run_replicas(backend, workload, stubbing("close"), 2)
-                first = engine_module._THREAD_POOL
-            assert first is not None  # close() left the shared pool alone
-            with ProbeEngine(parallel=2, cache=False) as two:
-                two.run_replicas(backend, workload, stubbing("close"), 2)
-                assert engine_module._THREAD_POOL is first
-                assert two._pool("thread") is one._pool("thread")
-            with ProbeEngine(parallel=4, cache=False) as wide:
-                wide.run_replicas(backend, workload, stubbing("close"), 4)
-                grown = engine_module._THREAD_POOL
-                assert grown is not first
-                assert grown._max_workers == 4
-        finally:
-            engine_module.shutdown_worker_pools()
-            assert engine_module._THREAD_POOL is None
 
     def test_close_idempotent_and_reusable(self):
         engine = ProbeEngine(parallel=2, cache=False)
@@ -707,27 +646,30 @@ class TestEngineLifecycle:
     def test_analyzer_context_manager_closes_engine(self):
         from repro.core import engine as engine_module
 
-        with Analyzer(AnalyzerConfig(parallel=2)) as analyzer:
+        with Analyzer(AnalyzerConfig(parallel=2, executor="process")) \
+                as analyzer:
             analyzer.analyze(
                 SimBackend(_mixed_program()), health_check("health")
             )
         # close() released the engine without tearing down the shared
-        # probe pool — it keeps serving the process's other engines.
-        assert engine_module._THREAD_POOL is not None
+        # worker pool — it keeps serving the process's other engines.
+        assert engine_module._PROCESS_POOL is not None
 
     def test_bad_executor_rejected(self):
-        with pytest.raises(ValueError):
-            ProbeEngine(executor="fibers")
-        with pytest.raises(ValueError):
-            AnalyzerConfig(executor="fibers")
+        for removed in ("fibers", "thread"):
+            with pytest.raises(ValueError, match="auto, serial, process"):
+                ProbeEngine(executor=removed)
+            with pytest.raises(ValueError, match="auto, serial, process"):
+                AnalyzerConfig(executor=removed)
 
     def test_executor_name_resolution(self):
         assert ProbeEngine().executor_name == "serial"
-        assert ProbeEngine(parallel=4).executor_name == "thread"
+        assert ProbeEngine(parallel=4).executor_name == "serial"
         assert ProbeEngine(parallel=4, executor="serial").executor_name \
             == "serial"
         assert ProbeEngine(parallel=4, executor="process").executor_name \
             == "process"
+        assert ProbeEngine(executor="process").executor_name == "serial"
 
     def test_process_pool_shared_across_engines(self):
         """Worker processes are expensive: every engine shares one
@@ -735,7 +677,7 @@ class TestEngineLifecycle:
         grows it instead of stacking a second pool."""
         from repro.core import engine as engine_module
 
-        engine_module.shutdown_process_pool()
+        engine_module.shutdown_worker_pools()
         backend = SimBackend(_mixed_program())
         workload = benchmark("b", "m")
         with ProbeEngine(parallel=2, executor="process", cache=False) as one:
@@ -750,7 +692,7 @@ class TestEngineLifecycle:
             grown = engine_module._PROCESS_POOL
             assert grown is not first
             assert grown._max_workers == 4
-        engine_module.shutdown_process_pool()
+        engine_module.shutdown_worker_pools()
         assert engine_module._PROCESS_POOL is None
 
     def test_shardability_checked_once_per_backend(self, monkeypatch):

@@ -376,7 +376,7 @@ class TestAccountingInvariantProperty:
     @given(
         error_features=st.sets(st.sampled_from(_SYSCALLS), max_size=2),
         error_rate=st.sampled_from((0.0, 0.3)),
-        executor=st.sampled_from(("serial", "thread", "process")),
+        executor=st.sampled_from(("serial", "process")),
         replicas=st.integers(1, 3),
         retries=st.integers(0, 1),
         seed=st.integers(0, 5),
@@ -416,12 +416,12 @@ class TestAccountingInvariantProperty:
         ),
         seed=st.integers(0, 3),
     )
-    def test_degraded_reports_identical_serial_vs_thread(
+    def test_degraded_reports_identical_serial_vs_process(
         self, error_features, seed
     ):
         spec = ChaosSpec(seed=seed, error_features=frozenset(error_features))
         documents = {}
-        for executor in ("serial", "thread"):
+        for executor in ("serial", "process"):
             with Analyzer(AnalyzerConfig(
                 replicas=2,
                 parallel=1 if executor == "serial" else 3,
@@ -436,7 +436,7 @@ class TestAccountingInvariantProperty:
             for feature in error_features:
                 assert result.features[feature].verdict is Verdict.UNDECIDED
             documents[executor] = _strip_fault_durations(result.to_dict())
-        assert documents["serial"] == documents["thread"]
+        assert documents["serial"] == documents["process"]
 
 
 def _strip_fault_durations(document):
@@ -450,7 +450,7 @@ def _strip_fault_durations(document):
 
 class TestChaosCampaignAcrossExecutors:
     """The acceptance campaign: hangs + errors + a real worker crash,
-    under degrade, byte-identical on serial, thread, and process."""
+    under degrade, byte-identical on serial and process."""
 
     def test_campaign_byte_identical_and_fully_accounted(self, tmp_path):
         app = build("redis")
@@ -498,11 +498,8 @@ class TestChaosCampaignAcrossExecutors:
         }
         assert {"futex", "getpid"} <= undecided
         reference_doc = _strip_fault_durations(reference.to_dict())
-        for executor in ("thread", "process"):
-            variant = run(executor)
-            assert _strip_fault_durations(variant.to_dict()) == reference_doc, (
-                executor
-            )
+        variant = run("process")
+        assert _strip_fault_durations(variant.to_dict()) == reference_doc
         # The crash injection really fired in a worker process — and
         # was recovered without changing the report.
         assert (tmp_path / "crash-process").exists()
@@ -581,7 +578,7 @@ class TestWorkerCrashRecovery:
 
         pools = []
 
-        def fresh_pool(kind):
+        def fresh_pool(width):
             pools.append(_DeadPool())
             return pools[-1]
 
@@ -589,9 +586,8 @@ class TestWorkerCrashRecovery:
         monkeypatch.setattr(
             engine_module, "_replace_broken_process_pool", replaced.append
         )
-        engine = ProbeEngine(parallel=2, executor="process")
-        monkeypatch.setattr(engine, "_pool", fresh_pool)
-        transport = engine_module._ProcessChunkPool(engine)
+        monkeypatch.setattr(engine_module, "_shared_process_pool", fresh_pool)
+        transport = engine_module._ProcessChunkPool(2)
         chunks = [transport.submit(("job", index)) for index in range(3)]
         events = [transport.next_event() for _ in chunks]
         assert [event for event, _, _ in events] == ["lost"] * 3

@@ -1,8 +1,7 @@
 """Executor-equivalence tests: sharding never changes conclusions.
 
-The engine's contract is that ``executor="serial"``, ``"thread"``,
-``"process"``, and ``"remote"`` are pure scheduling choices — every
-one of them must
+The engine's contract is that ``executor="serial"``, ``"process"``,
+and ``"remote"`` are pure scheduling choices — every one of them must
 produce byte-identical :class:`FeatureReport`s (and therefore
 identical :class:`Database` payloads) for the same analysis. This
 module pins that contract two ways:
@@ -11,9 +10,8 @@ module pins that contract two ways:
   drives op count, stub/fake reactions, and replica counts), and
 * an exhaustive sweep over the hand-modeled appsim corpus.
 
-It also covers the capability-fallback ladder: non-parallel-safe
-backends serialize, declared-but-unpicklable backends degrade from
-processes to threads.
+It also covers the capability fallback: non-parallel-safe backends
+and declared-but-unpicklable backends both run serially.
 """
 
 import json
@@ -42,7 +40,7 @@ from repro.core.workload import benchmark, health_check
 from repro.db import Database
 from repro.fabric.worker import FabricWorker
 
-EXECUTORS = ("serial", "thread", "process", "remote")
+EXECUTORS = ("serial", "process", "remote")
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +110,7 @@ class TestExecutorEquivalenceProperty:
             if measured else health_check("health")
         )
         reference = _analyze(program, workload, "serial", replicas)
-        for executor in ("thread", "process", "remote"):
+        for executor in ("process", "remote"):
             variant = _analyze(
                 program, workload, executor, replicas,
                 workers=fleet if executor == "remote" else (),
@@ -131,14 +129,12 @@ class TestExecutorEquivalenceCorpus:
         ]
         return apps, results
 
-    def test_thread_and_process_match_serial(self, corpus_reference):
+    def test_process_matches_serial(self, corpus_reference):
         apps, reference = corpus_reference
-        reference_payload = _database_payload(reference)
-        for executor in ("thread", "process"):
-            results = [_analyze_app(app, executor) for app in apps]
-            for left, right in zip(reference, results):
-                assert _digest(left) == _digest(right), (left.app, executor)
-            assert _database_payload(results) == reference_payload, executor
+        results = [_analyze_app(app, "process") for app in apps]
+        for left, right in zip(reference, results):
+            assert _digest(left) == _digest(right), (left.app, "process")
+        assert _database_payload(results) == _database_payload(reference)
 
     def test_remote_matches_serial(self, corpus_reference, fleet):
         apps, reference = corpus_reference
@@ -190,9 +186,9 @@ class TestCapabilityFallback:
         assert engine.stats.replicas_skipped == 2
         assert not outcome.all_succeeded
 
-    def test_unpicklable_backend_degrades_to_threads(self):
+    def test_unpicklable_backend_degrades_to_serial(self):
         """process_safe declared but the object cannot cross a process
-        boundary -> thread sharding, not a pool crash."""
+        boundary -> serial execution, not a pool crash."""
         program = SimProgram(
             name="local", version="1",
             ops=(SyscallOp(syscall="read", on_stub=ignore(),
@@ -219,6 +215,7 @@ class TestCapabilityFallback:
         assert not process_shardable(backend)
         with Analyzer(AnalyzerConfig(parallel=3, executor="process")) \
                 as analyzer:
+            assert analyzer.engine.mode_for(backend) == "serial"
             result = analyzer.analyze(backend, health_check("health"))
         reference = _analyze(program, health_check("health"), "serial", 3)
         assert _digest(result) == _digest(reference)

@@ -102,7 +102,7 @@ class TestRemoteEquivalence:
         with ProbeEngine(
             parallel=3, executor="remote", workers=fleet
         ) as engine:
-            assert engine.mode_for(backend) == "thread"
+            assert engine.mode_for(backend) == "serial"
         with ProbeEngine(
             parallel=1, executor="remote", workers=fleet
         ) as engine:

@@ -22,6 +22,7 @@ from repro.errors import ServiceUnavailableError
 from repro.server import (
     CANCELLED,
     DONE,
+    FAILED,
     QUARANTINED,
     QUEUED,
     RUNNING,
@@ -362,6 +363,41 @@ class TestTornMeta:
                 and client.job(meta.id)
             ))
             assert final["status"] == DONE
+
+
+class TestStoredSpecs:
+    def test_thread_executor_spec_fails_typed_and_server_serves_on(
+        self, tmp_path
+    ):
+        """A job stored while ``executor="thread"`` still existed ends
+        ``failed``, with a reason naming the accepted executors, and
+        the job queued behind it still runs."""
+        data_dir = tmp_path / "svc"
+        store = JobStore(data_dir)
+        stale = store.new_job(JobSpec(**QUICK_SPEC))
+        document = json.loads(store.spec_path(stale.id).read_text())
+        assert document["executor"] == "auto"  # every field is written
+        document.update(executor="thread", jobs=4)
+        store.spec_path(stale.id).write_text(json.dumps(document))
+        healthy = store.new_job(JobSpec(**QUICK_SPEC))
+        with CampaignServer(data_dir, workers=1) as server:
+            client = ServiceClient(server.url)
+            for job_id in (stale.id, healthy.id):
+                _wait_until(lambda job_id=job_id: (
+                    client.job(job_id)["status"] in TERMINAL_STATES
+                ))
+            failed = client.job(stale.id)
+            assert failed["status"] == FAILED
+            assert failed["reason"].startswith("JobSpecError: ")
+            assert "'thread'" in failed["reason"]
+            assert "auto, serial, process, remote" in failed["reason"]
+            kinds = [doc["event"] for doc in _events(server.store, stale.id)]
+            assert kinds[-1] == "job_failed"
+            assert client.job(healthy.id)["status"] == DONE
+            # New submissions naming it are refused at the front door.
+            with pytest.raises(ServiceError) as caught:
+                client.submit({**QUICK_SPEC, "executor": "thread"})
+            assert caught.value.status == 400
 
 
 class TestAdmissionControl:
