@@ -38,6 +38,7 @@ from repro.core.cachestore.base import (
     CacheStoreError,
     CompactionResult,
     RunCacheBackend,
+    StoreItem,
     StoreKey,
     StoreStats,
     decode_record,
@@ -70,6 +71,7 @@ __all__ = [
     "RunCacheBackend",
     "SQLITE_SUFFIXES",
     "SqliteRunCache",
+    "StoreItem",
     "StoreKey",
     "StoreStats",
     "decode_record",

@@ -1,8 +1,12 @@
 """The run-cache storage contract shared by every backend.
 
-The probe engine sees a run cache as four operations — ``get``,
-``put``, ``__len__``, ``close`` — and the ops tooling (``loupe
-cache``) adds four more: ``stats``, ``items``, ``compact``, ``gc``.
+The probe engine sees a run cache as four operations — ``get_many``,
+``put_many``, ``__len__``, ``close`` — one batched read before an
+engine batch dispatches and one batched write after it ends, so a
+batch costs one store round trip each way, not one per key. ``get``
+and ``put`` are the one-key forms of the same two calls. The ops
+tooling (``loupe cache``) adds four more: ``stats``, ``items``,
+``compact``, ``gc``.
 :class:`RunCacheBackend` is that contract as a protocol; the concrete
 stores live next door (:mod:`repro.core.cachestore.jsonl`,
 :mod:`repro.core.cachestore.sqlite`) and
@@ -31,6 +35,9 @@ from repro.errors import LoupeError
 #: Cache key: (backend name, workload name, policy fingerprint, replica)
 #: — the same shape as :data:`repro.core.engine.CacheKey`.
 StoreKey = tuple[str, str, str, int]
+
+#: One run to publish: ``(key, result, policy document or None)``.
+StoreItem = tuple[StoreKey, RunResult, "dict | None"]
 
 
 class CacheStoreError(LoupeError):
@@ -105,7 +112,15 @@ def decode_record_meta(
     stored; TTL eviction treats such records as ageless (never
     expired) — conservative, since their age is unknowable.
     """
-    record = json.loads(line)
+    return decode_record_document(json.loads(line))
+
+
+def decode_record_document(
+    record: dict,
+) -> "tuple[StoreKey, RunResult, dict | None, float | None]":
+    """:func:`decode_record_meta` for a record already parsed from
+    JSON (the HTTP wire carries records as objects inside a larger
+    document). Raises like it on malformed input."""
     key = (
         record["backend"],
         record["workload"],
@@ -210,7 +225,19 @@ class RunCacheBackend(Protocol):
     kind: str
     path: Path
 
-    def get(self, key: StoreKey) -> "RunResult | None": ...
+    def get_many(self, keys: "list[StoreKey]") -> "dict[StoreKey, RunResult]":
+        """The live records among *keys*, in one read: a missing or
+        expired key is simply absent from the answer."""
+        ...
+
+    def put_many(self, items: "list[StoreItem]") -> None:
+        """Store every ``(key, result, policy)`` item in one write; a
+        duplicate key overwrites (an upsert)."""
+        ...
+
+    def get(self, key: StoreKey) -> "RunResult | None":
+        """``get_many([key]).get(key)``."""
+        ...
 
     def put(
         self,
@@ -218,7 +245,9 @@ class RunCacheBackend(Protocol):
         result: RunResult,
         *,
         policy: "dict | None" = None,
-    ) -> None: ...
+    ) -> None:
+        """``put_many([(key, result, policy)])``."""
+        ...
 
     def __len__(self) -> int: ...
 

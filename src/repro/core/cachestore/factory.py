@@ -131,7 +131,8 @@ def migrate_store(
 ) -> int:
     """Copy every live record from *source* into *destination*.
 
-    Returns the number of records migrated. Superseded JSONL
+    Returns the number of records migrated. The copy is one
+    ``put_many`` — one transaction into SQLite. Superseded JSONL
     duplicates never survive (only the live, last-written value of
     each key is copied), so migrating doubles as a compaction.
     Existing destination records are overwritten key-by-key; the
@@ -147,7 +148,6 @@ def migrate_store(
         )
     with open_store(source) as src:
         with open_store(destination, max_entries=max_entries) as dst:
-            records = src.items()
-            for key, result in records:
-                dst.put(key, result)
+            records = [(key, result, None) for key, result in src.items()]
+            dst.put_many(records)
     return len(records)

@@ -2,13 +2,13 @@
 
 This is the original single-file run-cache store, byte-compatible
 with every file it ever wrote: one JSON object per line, appended and
-flushed per record, duplicate keys resolving last-writer-wins at
-load. What the format buys — human-greppable
+flushed once per ``put_many`` batch, duplicate keys resolving
+last-writer-wins at load. What the format buys — human-greppable
 files, torn-line crash tolerance for free, O_APPEND interleaving —
 it pays for in growth: superseded records are never reclaimed until
 :meth:`JsonlRunCache.compact` rewrites the file.
 
-Concurrency limitation (by design of the format): :meth:`put`'s
+Concurrency limitation (by design of the format): :meth:`put_many`'s
 already-durable check consults only *this process's* in-memory index.
 Two campaigns appending to one JSONL file therefore re-append records
 the other writer already persisted — harmless for correctness (loads
@@ -29,6 +29,7 @@ from pathlib import Path
 from repro.core.cachestore.base import (
     CacheStoreError,
     CompactionResult,
+    StoreItem,
     StoreKey,
     StoreStats,
     decode_record_meta,
@@ -56,9 +57,9 @@ class JsonlRunCache:
 
     The store is thread-safe: one campaign's app-level workers
     (``analyze_many(jobs=N)``) share a single instance freely. All
-    reads are served from the in-memory index; ``put`` appends one
-    line and flushes, so a crash loses at most the record being
-    written. Records another *process* appends after this store
+    reads are served from the in-memory index; ``put_many`` appends
+    its batch's lines in one write and flushes, so a crash loses at
+    most the batch being written (every complete line still loads). Records another *process* appends after this store
     loaded are invisible until reopen — see the module docstring for
     the multi-writer story.
     """
@@ -137,10 +138,7 @@ class JsonlRunCache:
         return created is not None and now - created > ttl_s
 
     def get(self, key: StoreKey) -> "RunResult | None":
-        with self._lock:
-            if self._expired_locked(key, self.ttl_s, time.time()):
-                return None
-            return self._index.get(key)
+        return self.get_many([key]).get(key)
 
     def put(
         self,
@@ -149,7 +147,21 @@ class JsonlRunCache:
         *,
         policy: "dict | None" = None,
     ) -> None:
-        """Record one run; a duplicate key overwrites (last-writer-wins).
+        self.put_many([(key, result, policy)])
+
+    def get_many(self, keys: "list[StoreKey]") -> "dict[StoreKey, RunResult]":
+        now = time.time()
+        with self._lock:
+            return {
+                key: self._index[key]
+                for key in keys
+                if key in self._index
+                and not self._expired_locked(key, self.ttl_s, now)
+            }
+
+    def put_many(self, items: "list[StoreItem]") -> None:
+        """Record runs with one write and one flush; a duplicate key
+        overwrites (last-writer-wins).
 
         The already-durable short-circuit consults only this process's
         index — concurrent writers sharing the file may still append
@@ -159,32 +171,38 @@ class JsonlRunCache:
         is worth one appended line.
         """
         now = time.time()
+        lines = []
         with self._lock:
-            if (
-                self._index.get(key) == result
-                and (policy is None or self._policies.get(key) == policy)
-                and not self._expired_locked(key, self.ttl_s, now)
-            ):
-                # Already durable and still fresh; don't grow the file.
-                # (An *expired* identical record is re-appended: the
-                # rewrite is what renews its timestamp, else a TTL'd
-                # key could never revive.)
+            for key, result, policy in items:
+                if (
+                    self._index.get(key) == result
+                    and (policy is None or self._policies.get(key) == policy)
+                    and not self._expired_locked(key, self.ttl_s, now)
+                ):
+                    # Already durable and still fresh; don't grow the
+                    # file. (An *expired* identical record is
+                    # re-appended: the rewrite is what renews its
+                    # timestamp, else a TTL'd key could never revive.)
+                    continue
+                if policy is None:
+                    # A policy-less overwrite keeps any document an
+                    # earlier writer stored — last-writer-wins must not
+                    # *lose* it.
+                    policy = self._policies.get(key)
+                lines.append(encode_record(key, result, policy, created=now))
+                if key in self._index:
+                    # The old line stays on disk, superseded, until
+                    # compact().
+                    self._stale_records += 1
+                self._index[key] = result
+                self._policies[key] = policy
+                self._created[key] = now
+            if not lines:
                 return
-            if policy is None:
-                # A policy-less overwrite keeps any document an earlier
-                # writer stored — last-writer-wins must not *lose* it.
-                policy = self._policies.get(key)
-            line = encode_record(key, result, policy, created=now)
-            if key in self._index:
-                # The old line stays on disk, superseded, until compact().
-                self._stale_records += 1
-            self._index[key] = result
-            self._policies[key] = policy
-            self._created[key] = now
             if self._handle is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._handle = self.path.open("a", encoding="utf-8")
-            self._handle.write(line + "\n")
+            self._handle.write("".join(line + "\n" for line in lines))
             self._handle.flush()
 
     def items(self) -> list[tuple[StoreKey, RunResult]]:

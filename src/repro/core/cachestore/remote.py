@@ -7,22 +7,27 @@ other side of this wire):
 =========  =======================  ===================================
 Method     Path                     Meaning
 =========  =======================  ===================================
-``GET``    ``/cache/<keyid>``       one record (``404`` on a miss)
-``PUT``    ``/cache/<keyid>``       publish one record (an upsert)
 ``POST``   ``/cache/lookup``        batched read: ``{"keys": [...]}``
+                                    → ``{"hits": {keyid: record}}``
+``POST``   ``/cache/publish``       batched upsert: ``{"records":
+                                    [{"key": keyid, "record": ...}]}``
 ``GET``    ``/cache/stats``         the store's stats + counters
 =========  =======================  ===================================
 
-The *keyid* is the store key — the engine's ``(backend, workload,
-fingerprint, replica)`` quad — as a URL-safe base64 encoding of its
-JSON list form, so arbitrary backend/workload names survive the URL
-path. Record bodies are the very same JSON objects the local
-backends write as lines (:func:`~repro.core.cachestore.base.
-encode_record`): the wire format *is* the file format.
+One read route and one write route: :meth:`RemoteRunCache.get_many`
+and :meth:`RemoteRunCache.put_many` are one request each (a publish
+larger than the server's :data:`MAX_BODY_BYTES` goes out as several),
+and ``get``/``put`` are their one-key forms. The *keyid* is the store
+key — the engine's ``(backend, workload, fingerprint, replica)`` quad
+— as a URL-safe base64 encoding of its JSON list form. Record bodies
+are the very same JSON objects the local backends write as lines
+(:func:`~repro.core.cachestore.base.encode_record`): the wire format
+*is* the file format.
 
-A remote ``get`` means what a local one does: the record, or
-``None``. Two campaigns missing one key at once both execute it and
-both ``put``; the second put upserts an identical record.
+A remote read means what a local one does: the live records among
+the keys asked for. Two campaigns missing one key at once both
+execute it and both publish it; the second publish upserts an
+identical record.
 
 Ops verbs that need the records on disk (``records``, ``items``,
 ``compact``, ``gc``) are refused with a pointer at the server's own
@@ -41,15 +46,25 @@ from pathlib import Path
 
 from repro.core.cachestore.base import (
     CacheStoreError,
+    StoreItem,
     StoreKey,
     StoreStats,
-    decode_record_meta,
+    decode_record_document,
     encode_record,
 )
 from repro.core.runner import RunResult
 
 #: Per-request transport timeout.
 DEFAULT_TIMEOUT_S = 10.0
+
+#: The largest request body the campaign server accepts (its handlers
+#: refuse anything bigger: a campaign spec is a small flat object);
+#: :meth:`RemoteRunCache.put_many` splits a batch into requests under
+#: it.
+MAX_BODY_BYTES = 1 << 20
+
+#: The publish body around its comma-separated records.
+_PUBLISH_HEAD, _PUBLISH_TAIL = b'{"records": [', b"]}"
 
 
 def encode_key_id(key: StoreKey) -> str:
@@ -84,7 +99,8 @@ class RemoteRunCache:
         reported at open time with an actionable message, not on the
         first mid-campaign miss.
 
-    Every operation is one HTTP request over a keep-alive connection
+    Every operation is one HTTP request (a ``put_many`` past the body
+    cap, several) over a keep-alive connection
     taken from a lock-guarded idle pool and returned after the
     response is read, so a campaign pays one TCP connect per thread
     instead of one per request. The store is thread-safe: a connection
@@ -120,16 +136,12 @@ class RemoteRunCache:
     # -- transport -----------------------------------------------------------
 
     def _request(
-        self,
-        method: str,
-        path: str,
-        *,
-        body: "dict | None" = None,
-    ) -> "tuple[int, dict | None]":
-        data = None
+        self, method: str, path: str, data: "bytes | None" = None
+    ) -> "dict | None":
+        """One request; the reply's JSON document (``None`` when it
+        has no body). Any error status raises :class:`CacheStoreError`."""
         headers = {"Accept": "application/json"}
-        if body is not None:
-            data = json.dumps(body, sort_keys=True).encode("utf-8")
+        if data is not None:
             headers["Content-Type"] = "application/json"
         with self._lock:
             conn = self._idle.pop() if self._idle else None
@@ -160,20 +172,14 @@ class RemoteRunCache:
         status = response.status
         if status < 400:
             self._release(conn, epoch)
-            return status, (json.loads(raw) if raw else None)
+            return json.loads(raw) if raw else None
+        # The server may refuse a request before reading its body, so a
+        # connection that carried a refusal is not reused.
+        conn.close()
         try:
             document = json.loads(raw)
         except ValueError:
             document = {"error": raw.decode("utf-8", "replace").strip()}
-        if status == 404 and isinstance(document, dict) \
-                and document.get("miss"):
-            # A cache miss, not a routing error — callers branch on
-            # the body.
-            self._release(conn, epoch)
-            return status, document
-        # The server may refuse a request before reading its body, so a
-        # connection that carried a refusal is not reused.
-        conn.close()
         message = document.get("error") if isinstance(document, dict) \
             else None
         raise CacheStoreError(
@@ -201,13 +207,7 @@ class RemoteRunCache:
     # -- the store API -------------------------------------------------------
 
     def get(self, key: StoreKey) -> "RunResult | None":
-        status, document = self._request("GET", f"/cache/{encode_key_id(key)}")
-        if status == 404:
-            return None
-        _key, result, _policy, _created = decode_record_meta(
-            json.dumps(document)
-        )
-        return result
+        return self.get_many([key]).get(key)
 
     def put(
         self,
@@ -216,8 +216,7 @@ class RemoteRunCache:
         *,
         policy: "dict | None" = None,
     ) -> None:
-        record = json.loads(encode_record(key, result, policy))
-        self._request("PUT", f"/cache/{encode_key_id(key)}", body=record)
+        self.put_many([(key, result, policy)])
 
     def get_many(
         self, keys: "list[StoreKey]"
@@ -226,25 +225,49 @@ class RemoteRunCache:
         *keys*, in one request."""
         if not keys:
             return {}
-        _status, document = self._request(
-            "POST",
-            "/cache/lookup",
-            body={"keys": [encode_key_id(key) for key in keys]},
+        body = {"keys": [encode_key_id(key) for key in keys]}
+        document = self._request(
+            "POST", "/cache/lookup", json.dumps(body).encode("utf-8")
         )
-        hits = (document or {}).get("hits", {})
         found: "dict[StoreKey, RunResult]" = {}
-        for key_id, record in hits.items():
-            key, result, _policy, _created = decode_record_meta(
-                json.dumps(record)
-            )
+        for record in (document or {}).get("hits", {}).values():
+            key, result, _policy, _created = decode_record_document(record)
             found[key] = result
         return found
+
+    def put_many(self, items: "list[StoreItem]") -> None:
+        """Batched upsert (``POST /cache/publish``): one request per
+        :data:`MAX_BODY_BYTES` of records, so a batch of any size
+        lands whole without the server refusing its body."""
+        entries: "list[bytes]" = []
+        size = len(_PUBLISH_HEAD) + len(_PUBLISH_TAIL)
+        for key, result, policy in items:
+            # The key id is URL-safe base64 and the record is ASCII
+            # JSON, so the entry needs no further escaping.
+            entry = (
+                f'{{"key": "{encode_key_id(key)}", '
+                f'"record": {encode_record(key, result, policy)}}}'
+            ).encode("ascii")
+            if entries and size + len(entry) + 2 > MAX_BODY_BYTES:
+                self._publish(entries)
+                entries = []
+                size = len(_PUBLISH_HEAD) + len(_PUBLISH_TAIL)
+            entries.append(entry)
+            size += len(entry) + 2  # the ", " separator
+        if entries:
+            self._publish(entries)
+
+    def _publish(self, entries: "list[bytes]") -> None:
+        self._request(
+            "POST", "/cache/publish",
+            _PUBLISH_HEAD + b", ".join(entries) + _PUBLISH_TAIL,
+        )
 
     def __len__(self) -> int:
         return int(self.stats().entries)
 
     def stats(self) -> StoreStats:
-        _status, document = self._request("GET", "/cache/stats")
+        document = self._request("GET", "/cache/stats")
         store = (document or {}).get("store") or {}
         known = {
             field: store[field]

@@ -7,14 +7,15 @@ file, this backend delegates the shared state to SQLite itself:
   keep reading; safe for several concurrent campaign *processes*
   sharing one cache file, with crash recovery (a process killed
   mid-transaction rolls back cleanly on the next open).
-* **Live read-through** — every ``get`` is a fresh read transaction,
+* **Live read-through** — every ``get_many`` is a fresh transaction,
   so one campaign's committed writes are visible to another *without
   reopening* the store. (The probe engine still promotes hits into
   its own LRU, so hot keys don't re-pay the query.)
 * **Upsert puts** — ``INSERT ... ON CONFLICT DO UPDATE`` makes the
   already-durable check shared state rather than per-process memory:
   two writers racing on one key leave exactly one row, fixing the
-  JSONL backend's duplicate re-appends.
+  JSONL backend's duplicate re-appends. A ``put_many`` batch is one
+  transaction.
 * **LRU eviction** — every row carries ``last_used``/``use_count``;
   with ``max_entries`` set, a put that pushes the table over the cap
   evicts the least-recently-used rows, keeping a long-lived service
@@ -36,6 +37,7 @@ from pathlib import Path
 from repro.core.cachestore.base import (
     CacheStoreError,
     CompactionResult,
+    StoreItem,
     StoreKey,
     StoreStats,
     decode_record,
@@ -60,8 +62,9 @@ CREATE INDEX IF NOT EXISTS runs_last_used ON runs (last_used);
 """
 
 #: How long a connection waits on a competing writer's lock before
-#: giving up (seconds). Campaign writes are single small statements,
-#: so contention windows are microseconds; the margin is for CI boxes.
+#: giving up (seconds). Campaign writes are one short transaction per
+#: engine batch, so contention windows are milliseconds; the margin is
+#: for CI boxes.
 _BUSY_TIMEOUT_S = 30.0
 
 #: Application-level retries when SQLite reports the database locked
@@ -71,6 +74,12 @@ _BUSY_TIMEOUT_S = 30.0
 #: out a momentary stall, not masking a wedged peer.
 _LOCK_ATTEMPTS = 3
 _LOCK_RETRY_DELAY_S = 0.05
+
+
+#: The primary-key match every per-key statement shares.
+_WHERE = (
+    "backend = ? AND workload = ? AND fingerprint = ? AND replica = ?"
+)
 
 
 def _retry_locked(action):
@@ -91,6 +100,29 @@ def _retry_locked(action):
             if attempt == _LOCK_ATTEMPTS - 1:
                 raise
             time.sleep(_LOCK_RETRY_DELAY_S * (attempt + 1))
+
+
+def _in_transaction(conn: sqlite3.Connection, body):
+    """Run *body* in one write transaction, retried as a whole on lock
+    contention (:func:`_retry_locked`); any failure rolls it back.
+
+    ``BEGIN IMMEDIATE`` takes the write lock up front, under the busy
+    timeout: a deferred transaction that read first could not upgrade
+    to a write once another process had committed meanwhile.
+    """
+
+    def attempt():
+        conn.execute("BEGIN IMMEDIATE")
+        try:
+            out = body()
+            conn.execute("COMMIT")
+        except BaseException:
+            if conn.in_transaction:  # some errors already rolled back
+                conn.execute("ROLLBACK")
+            raise
+        return out
+
+    return _retry_locked(attempt)
 
 
 class SqliteRunCache:
@@ -187,35 +219,7 @@ class SqliteRunCache:
         return 0
 
     def get(self, key: StoreKey) -> "RunResult | None":
-        """One live read — plus one bookkeeping write (``last_used``/
-        ``use_count``) on a hit, which is what LRU eviction and ``gc``
-        order by. The write cost stays off the hot path in practice:
-        the probe engine promotes every persistent hit into its own
-        LRU, so a key pays it once per process, not once per run."""
-        backend, workload, fingerprint, replica = key
-        where = (
-            "backend = ? AND workload = ? AND fingerprint = ? "
-            "AND replica = ?"
-        )
-        with self._lock:
-            conn = self._connect_locked()
-            row = _retry_locked(lambda: conn.execute(
-                f"SELECT result, created FROM runs WHERE {where}",
-                (backend, workload, fingerprint, replica),
-            ).fetchone())
-            if row is None:
-                return None
-            if self.ttl_s is not None and time.time() - row[1] > self.ttl_s:
-                # Expired: a miss (the row stays for gc to sweep; no
-                # use-count bump — an unservable row earned no recency).
-                return None
-            _retry_locked(lambda: conn.execute(
-                f"UPDATE runs SET last_used = ?, use_count = use_count + 1 "
-                f"WHERE {where}",
-                (time.time(), backend, workload, fingerprint, replica),
-            ))
-        _key, result = decode_record(row[0])
-        return result
+        return self.get_many([key]).get(key)
 
     def put(
         self,
@@ -224,28 +228,77 @@ class SqliteRunCache:
         *,
         policy: "dict | None" = None,
     ) -> None:
-        """Upsert one run: a duplicate key updates the existing row in
-        place — shared state, so concurrent campaigns never grow the
-        store with records another writer already persisted. The
-        optional *policy* document rides inside the record JSON of the
-        ``result`` column (same wire format as the JSONL backend)."""
-        backend, workload, fingerprint, replica = key
+        self.put_many([(key, result, policy)])
+
+    def get_many(self, keys: "list[StoreKey]") -> "dict[StoreKey, RunResult]":
+        """One transaction: a live read of every key, plus one
+        ``executemany`` recency bump (``last_used``/``use_count``, what
+        LRU eviction and ``gc`` order by) for the hits. The probe
+        engine calls this once per batch, for the keys its own LRU
+        cannot answer, so the bookkeeping write costs one transaction
+        per batch, not one per hit."""
+        if not keys:
+            return {}
         now = time.time()
         with self._lock:
             conn = self._connect_locked()
-            _retry_locked(lambda: conn.execute(
-                "INSERT INTO runs (backend, workload, fingerprint, replica,"
-                " result, created, last_used, use_count)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, 0)"
-                " ON CONFLICT (backend, workload, fingerprint, replica)"
-                " DO UPDATE SET result = excluded.result,"
-                "               created = excluded.created,"
-                "               last_used = excluded.last_used",
-                (backend, workload, fingerprint, replica,
-                 encode_record(key, result, policy), now, now),
-            ))
-            if self.max_entries is not None:
-                self._evict_locked(self.max_entries)
+
+            def read() -> "dict[StoreKey, str]":
+                found: "dict[StoreKey, str]" = {}
+                for key in keys:
+                    row = conn.execute(
+                        f"SELECT result, created FROM runs WHERE {_WHERE}",
+                        key,
+                    ).fetchone()
+                    # An expired row is a miss (it stays for gc to
+                    # sweep; no use-count bump — an unservable row
+                    # earned no recency).
+                    if row is not None and (
+                        self.ttl_s is None or now - row[1] <= self.ttl_s
+                    ):
+                        found[key] = row[0]
+                conn.executemany(
+                    f"UPDATE runs SET last_used = ?, use_count = use_count + 1"
+                    f" WHERE {_WHERE}",
+                    [(now, *key) for key in found],
+                )
+                return found
+
+            found = _in_transaction(conn, read)
+        return {key: decode_record(line)[1] for key, line in found.items()}
+
+    def put_many(self, items: "list[StoreItem]") -> None:
+        """Upsert every run in one transaction: a duplicate key updates
+        the existing row in place — shared state, so concurrent
+        campaigns never grow the store with records another writer
+        already persisted — then ``max_entries`` eviction runs once.
+        The optional policy document rides inside the record JSON of
+        the ``result`` column (same wire format as the JSONL backend)."""
+        if not items:
+            return
+        now = time.time()
+        rows = [
+            (*key, encode_record(key, result, policy), now, now)
+            for key, result, policy in items
+        ]
+        with self._lock:
+            conn = self._connect_locked()
+
+            def write() -> None:
+                conn.executemany(
+                    "INSERT INTO runs (backend, workload, fingerprint, replica,"
+                    " result, created, last_used, use_count)"
+                    " VALUES (?, ?, ?, ?, ?, ?, ?, 0)"
+                    " ON CONFLICT (backend, workload, fingerprint, replica)"
+                    " DO UPDATE SET result = excluded.result,"
+                    "               created = excluded.created,"
+                    "               last_used = excluded.last_used",
+                    rows,
+                )
+                if self.max_entries is not None:
+                    self._evict_locked(self.max_entries)
+
+            _in_transaction(conn, write)
 
     def _evict_locked(self, max_entries: int) -> int:
         conn = self._connect_locked()

@@ -28,6 +28,11 @@ analyzer's implicit run loop into an explicit scheduler that
 * optionally spills every executed run to a persistent run-cache
   store (:mod:`repro.core.cachestore`, same key), so repeated
   campaigns — new processes, new sessions, CI re-runs — start warm.
+  A scheduling call talks to the store twice at most: one
+  ``get_many`` prefetch of the keys the LRU cannot answer before it
+  runs anything, and one ``put_many`` of the runs it executed when it
+  ends, raising or not — one round trip each way per batch on the
+  HTTP store, one transaction each on SQLite.
 
 Correctness contract: a run may only be answered from either cache when
 the backend is deterministic for a fixed ``(workload, policy,
@@ -84,7 +89,7 @@ import dataclasses
 import multiprocessing
 import threading
 from collections import OrderedDict
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.core.faults import (
@@ -413,6 +418,21 @@ class EngineStats:
         return base
 
 
+@dataclasses.dataclass
+class _StoreBatch:
+    """One scheduling call's traffic with the persistent store, local
+    to that call (the engine is shared between threads): the records
+    its ``get_many`` prefetch found, and the executed runs its
+    ``put_many`` will publish."""
+
+    hits: "dict[CacheKey, RunResult]" = dataclasses.field(
+        default_factory=dict
+    )
+    pending: "list[tuple[CacheKey, RunResult, dict | None]]" = (
+        dataclasses.field(default_factory=list)
+    )
+
+
 class ProbeEngine:
     """Schedules probe runs over a pluggable executor with run caching.
 
@@ -446,11 +466,13 @@ class ProbeEngine:
         Optional persistent run-cache store (any
         :class:`~repro.core.cachestore.RunCacheBackend` —
         :func:`~repro.core.cachestore.open_store` builds one from a
-        path). Misses that the LRU cannot answer are looked up here
-        before reaching the backend, and every executed cacheable run
-        is recorded, so later campaigns sharing the store start warm.
-        Survives :meth:`reset` — cross-campaign reuse is its entire
-        point.
+        path). Each scheduling call prefetches the keys its LRU cannot
+        answer with one ``get_many`` before reaching the backend, and
+        publishes every cacheable run it executed with one
+        ``put_many`` when it ends (also when it raises), so later
+        campaigns sharing the store start warm. A prefetched record
+        counts as a hit only when a run consumes it. Survives
+        :meth:`reset` — cross-campaign reuse is its entire point.
     fault_policy:
         Optional :class:`~repro.core.faults.FaultPolicy`. When active,
         every run gets a wall-clock timeout and bounded retries;
@@ -703,33 +725,66 @@ class ProbeEngine:
         while len(self._cache) > self.cache_size:
             self._cache.popitem(last=False)
 
-    def _lookup(self, key: CacheKey) -> "RunResult | None":
-        """Answer a cacheable run from LRU, then store; counts the hit."""
+    def _prefetch(
+        self,
+        backend: ExecutionBackend,
+        workload: Workload,
+        runs: "Iterable[tuple[InterpositionPolicy, int]]",
+    ) -> "_StoreBatch":
+        """Open one scheduling call's store traffic: a single
+        ``get_many`` for the keys of *runs* the LRU cannot answer.
+
+        Without a store, or for a backend that is not cacheable, no
+        key is looked up and nothing will be published.
+        """
+        batch = _StoreBatch()
+        if self.store is None or not self._cacheable(backend):
+            return batch
+        keys = dict.fromkeys(
+            self._key(backend, workload, policy, replica)
+            for policy, replica in runs
+        )
+        with self._lock:
+            misses = [key for key in keys if key not in self._cache]
+        if misses:
+            batch.hits = self.store.get_many(misses)
+        return batch
+
+    def _publish(self, batch: "_StoreBatch") -> None:
+        """Close one scheduling call's store traffic: a single
+        ``put_many`` of every run it executed."""
+        if batch.pending:
+            self.store.put_many(batch.pending)
+
+    def _lookup(
+        self, key: CacheKey, batch: "_StoreBatch"
+    ) -> "RunResult | None":
+        """Answer a cacheable run from the LRU, then from the batch's
+        prefetch; counts the hit."""
         with self._lock:
             hit = self._cache.get(key)
             if hit is not None:
                 self._cache.move_to_end(key)
                 self._hits += 1
                 return hit
-        if self.store is not None:
-            persisted = self.store.get(key)
+            persisted = batch.hits.get(key)
             if persisted is not None:
-                with self._lock:
-                    self._hits += 1
-                    self._persistent_hits += 1
-                    self._cache[key] = persisted  # promote into the LRU
-                    self._cache.move_to_end(key)
-                    self._evict_locked()
-                return persisted
-        return None
+                self._hits += 1
+                self._persistent_hits += 1
+                self._cache[key] = persisted  # promote into the LRU
+                self._cache.move_to_end(key)
+                self._evict_locked()
+            return persisted
 
     def _record(
         self,
         key: "CacheKey | None",
         result: RunResult,
-        policy: "InterpositionPolicy | None" = None,
+        policy: "InterpositionPolicy | None",
+        batch: "_StoreBatch",
     ) -> None:
-        """Account one executed run; memoize it when *key* is cacheable.
+        """Account one executed run; memoize it when *key* is cacheable
+        and queue it for the batch's ``put_many``.
 
         The policy rides along to the persistent store so ``loupe
         cache verify`` can later re-execute the record (the key's
@@ -742,10 +797,10 @@ class ProbeEngine:
                 self._cache.move_to_end(key)
                 self._evict_locked()
         if key is not None and self.store is not None:
-            self.store.put(
+            batch.pending.append((
                 key, result,
-                policy=policy.to_dict() if policy is not None else None,
-            )
+                policy.to_dict() if policy is not None else None,
+            ))
 
     # -- fault handling ----------------------------------------------------
 
@@ -806,7 +861,11 @@ class ProbeEngine:
         """
         with self._lock:
             self._requested += 1
-        out = self._one(backend, workload, policy, replica)
+        batch = self._prefetch(backend, workload, ((policy, replica),))
+        try:
+            out = self._one(backend, workload, policy, replica, batch)
+        finally:
+            self._publish(batch)
         if isinstance(out, ProbeFault):
             raise ProbeFaultError(out)
         return out
@@ -817,6 +876,7 @@ class ProbeEngine:
         workload: Workload,
         policy: InterpositionPolicy,
         replica: int,
+        batch: "_StoreBatch",
     ) -> "RunResult | ProbeFault":
         """Lookup-or-execute without touching ``runs_requested`` (the
         scheduling entry points account for requests up front).
@@ -829,13 +889,13 @@ class ProbeEngine:
         key = None
         if self._cacheable(backend):
             key = self._key(backend, workload, policy, replica)
-            hit = self._lookup(key)
+            hit = self._lookup(key, batch)
             if hit is not None:
                 return hit
         fault_policy = self.fault_policy
         if fault_policy is None or not fault_policy.active:
             result = backend.run(workload, policy, replica=replica)
-            self._record(key, result, policy)
+            self._record(key, result, policy, batch)
             return result
         outcome = guarded_run(backend, workload, policy, replica, fault_policy)
         self._notify_retries(
@@ -843,7 +903,7 @@ class ProbeEngine:
             recovered=outcome.result is not None,
         )
         if outcome.result is not None:
-            self._record(key, outcome.result, policy)
+            self._record(key, outcome.result, policy, batch)
             return outcome.result
         fault = outcome.fault(workload, policy, replica)
         self._account_fault(fault)
@@ -893,22 +953,38 @@ class ProbeEngine:
         cancels its own probe's siblings). On the serial path the
         batch degenerates to the exact historical execution order —
         policy by policy, replica by replica.
+
+        With a persistent store, the whole batch makes one
+        ``get_many`` (the keys the LRU cannot answer) before any run
+        and one ``put_many`` (every run it executed) at the end — also
+        when a run raises, so a failed batch still persists the runs
+        it completed.
         """
         if replicas < 1:
             raise ValueError("need at least one replica")
         if not policies:
             return []
         mode = self.mode_for(backend)
-        if mode == "serial":
-            return [
-                self._serial_probe(
-                    backend, workload, policy, replicas, early_exit
-                )
-                for policy in policies
-            ]
-        return self._pooled_batch(
-            mode, backend, workload, policies, replicas, early_exit
-        )
+        batch = self._prefetch(backend, workload, (
+            (policy, replica)
+            for policy in policies
+            for replica in range(replicas)
+        ))
+        try:
+            if mode == "serial":
+                return [
+                    self._serial_probe(
+                        backend, workload, policy, replicas, early_exit,
+                        batch,
+                    )
+                    for policy in policies
+                ]
+            return self._pooled_batch(
+                mode, backend, workload, policies, replicas, early_exit,
+                batch,
+            )
+        finally:
+            self._publish(batch)
 
     # -- execution strategies ----------------------------------------------
 
@@ -919,13 +995,14 @@ class ProbeEngine:
         policy: InterpositionPolicy,
         replicas: int,
         early_exit: bool,
+        batch: "_StoreBatch",
     ) -> ProbeOutcome:
         with self._lock:
             self._requested += replicas
         results: list[RunResult] = []
         faults: list[ProbeFault] = []
         for index in range(replicas):
-            out = self._one(backend, workload, policy, index)
+            out = self._one(backend, workload, policy, index, batch)
             if isinstance(out, ProbeFault):
                 # A fault is not a decision — later replicas still run
                 # (one of them may observe a genuine failure, which
@@ -947,6 +1024,7 @@ class ProbeEngine:
         policies: Sequence[InterpositionPolicy],
         replicas: int,
         early_exit: bool,
+        batch: "_StoreBatch",
     ) -> list[ProbeOutcome]:
         cacheable = self._cacheable(backend)
         with self._lock:
@@ -963,7 +1041,7 @@ class ProbeEngine:
                 key = None
                 if cacheable:
                     key = self._key(backend, workload, policy, replica)
-                    hit = self._lookup(key)
+                    hit = self._lookup(key, batch)
                     if hit is not None:
                         collected[probe_index][replica] = hit
                         if early_exit and not hit.success:
@@ -976,7 +1054,7 @@ class ProbeEngine:
         }
         self._dispatch_chunks(
             mode, backend, workload, tasks, keys, collected, faulted,
-            early_exit,
+            early_exit, batch,
         )
         # Whatever was asked for but never ran — skipped by a worker
         # after an in-chunk failure, or never submitted after a cached
@@ -1009,6 +1087,7 @@ class ProbeEngine:
         collected: list[dict[int, RunResult]],
         faulted: list[dict[int, ProbeFault]],
         early_exit: bool,
+        batch: "_StoreBatch",
     ) -> None:
         """Chunk sharding over worker processes (``process``) or a
         worker fleet (``remote``).
@@ -1088,7 +1167,7 @@ class ProbeEngine:
                             continue
                         self._record(
                             keys[(probe_index, replica)], row,
-                            policies[(probe_index, replica)],
+                            policies[(probe_index, replica)], batch,
                         )
                         collected[probe_index][replica] = row
                     continue

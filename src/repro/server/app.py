@@ -88,7 +88,7 @@ class CampaignServer:
         self.fleet = FleetTracker()
         self.cache: "CacheService | None" = None
         if run_cache is not None:
-            # The served cache surface (GET/PUT /cache/<key>): one
+            # The served cache surface (POST /cache/lookup|publish): one
             # long-lived store the whole fleet shares.
             from repro.core.cachestore import open_store
 

@@ -3,15 +3,17 @@
 A worker fleet wants one persistent run cache, not N private ones —
 that is what makes a *warm* distributed campaign cheap. The server
 owns the store (the same ``--run-cache`` file its own jobs inherit)
-and exposes it over HTTP (``GET/PUT /cache/<key>``, ``POST
-/cache/lookup``); :class:`CacheService` is the in-process half of
-that surface: serialized store access and hit/miss counters.
+and exposes it over HTTP (``POST /cache/lookup``, ``POST
+/cache/publish``); :class:`CacheService` is the in-process half of
+that surface: serialized store access and hit/miss counters. Each
+route is one ``get_many``/``put_many`` call on the store, so an engine
+batch costs the served store one transaction each way.
 
 The surface is a plain key-value store. Two campaigns missing the
-same key at once each execute the run and both ``PUT`` it; the
-second put upserts an identical record, because only deterministic
-backends are ever cached (a cached run is a saving, never a
-verdict).
+same key at once each execute the run and both publish it; the
+second publish upserts an identical record, because only
+deterministic backends are ever cached (a cached run is a saving,
+never a verdict).
 
 :class:`FleetTracker` is the observability side: workers announce
 themselves with periodic ``POST /fleet/heartbeat`` documents, each
@@ -25,17 +27,20 @@ from __future__ import annotations
 import threading
 import time
 
-from repro.core.cachestore.base import StoreKey
+from repro.core.cachestore.base import StoreItem, StoreKey
 from repro.core.runner import RunResult
 
 
 class CacheService:
     """Serialized access to the server's run store.
 
-    Handlers call :meth:`fetch` / :meth:`publish` / :meth:`lookup`;
-    everything is internally locked because the HTTP server is
-    threading. The ``hits`` and ``misses`` counters feed the ``cache``
-    block of ``GET /stats``.
+    Handlers call :meth:`lookup` / :meth:`publish_many`; everything
+    is internally locked because the HTTP server is threading. The
+    ``hits`` and ``misses`` counters feed the ``cache`` block of
+    ``GET /stats``. They count *keys looked up*: the probe engine
+    prefetches every key of a batch its own LRU cannot answer, so
+    they include replicas that early exit later skips, and ``hits``
+    can exceed the hits the engine consumes.
     """
 
     def __init__(self, store) -> None:
@@ -44,33 +49,19 @@ class CacheService:
         self.hits = 0
         self.misses = 0
 
-    def fetch(self, key: StoreKey) -> "RunResult | None":
-        """Read one key: the stored run, or ``None`` on a miss."""
-        return self.lookup([key]).get(key)
-
-    def publish(
-        self,
-        key: StoreKey,
-        result: RunResult,
-        *,
-        policy: "dict | None" = None,
-    ) -> None:
-        """Store one run (an upsert)."""
-        with self._lock:
-            self.store.put(key, result, policy=policy)
-
     def lookup(self, keys: "list[StoreKey]") -> "dict[StoreKey, RunResult]":
-        """Batched read: the warm-path prefetch."""
-        found: "dict[StoreKey, RunResult]" = {}
+        """Batched read: one ``get_many`` on the store."""
         with self._lock:
-            for key in keys:
-                result = self.store.get(key)
-                if result is not None:
-                    self.hits += 1
-                    found[key] = result
-                else:
-                    self.misses += 1
+            found = self.store.get_many(keys)
+            hits = sum(1 for key in keys if key in found)
+            self.hits += hits
+            self.misses += len(keys) - hits
         return found
+
+    def publish_many(self, items: "list[StoreItem]") -> None:
+        """Batched upsert: one ``put_many`` on the store."""
+        with self._lock:
+            self.store.put_many(items)
 
     # -- observability -------------------------------------------------------
 

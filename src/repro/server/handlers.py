@@ -16,20 +16,24 @@ Method     Path                            Meaning
 ``GET``    ``/healthz``                    liveness
 ``GET``    ``/stats``                      queue/worker/store observability
 ``GET``    ``/cache/stats``                the served run store's stats
-``GET``    ``/cache/<keyid>``              one cached run (``404`` on a miss)
-``PUT``    ``/cache/<keyid>``              publish one run record
 ``POST``   ``/cache/lookup``               batched cache read
+``POST``   ``/cache/publish``              batched cache write (an upsert)
 ``POST``   ``/fleet/heartbeat``            a worker's liveness announcement
 =========  ==============================  =====================================
 
 The ``/cache`` family is the fleet's shared run store (present only
-when the server was started with ``--run-cache``; 503 otherwise): the
-*keyid* is the store key's URL token
-(:func:`repro.core.cachestore.remote.encode_key_id`), record bodies
-are the same JSON objects the local backends write as lines, and a
-miss is a ``404`` whose body is ``{"miss": true}`` (so a client can
-tell it from a routing error). Query parameters on a cache read are
-ignored. ``/fleet/heartbeat`` feeds the worker gauges in ``/stats``.
+when the server was started with ``--run-cache``; 503 otherwise), one
+read route and one write route. A lookup body is ``{"keys":
+["<keyid>", ...]}`` and its reply ``{"hits": {"<keyid>": record}}``
+(a miss is simply absent); a publish body is ``{"records": [{"key":
+"<keyid>", "record": record}, ...]}``, answered ``204``. The *keyid*
+is the store key's URL-safe token
+(:func:`repro.core.cachestore.remote.encode_key_id`) and a record is
+the same JSON object the local backends write as a line. A publish is
+validated whole before anything is written: one malformed record, or
+one whose key id does not match its body, is a ``400`` naming it, and
+the store is left untouched. ``/fleet/heartbeat`` feeds the worker
+gauges in ``/stats``.
 
 Everything speaks JSON except ``/events``, which replays the job's
 ``events.jsonl`` verbatim as ``application/x-ndjson`` — the body *is*
@@ -70,10 +74,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.core.cachestore.base import (
     CacheStoreError,
-    decode_record_meta,
+    decode_record_document,
     encode_record,
 )
-from repro.core.cachestore.remote import decode_key_id, encode_key_id
+from repro.core.cachestore.remote import (
+    MAX_BODY_BYTES,  # the body cap the run cache's client splits under
+    decode_key_id,
+    encode_key_id,
+)
 from repro.server.jobstore import (
     STATES,
     JobSpecError,
@@ -86,10 +94,6 @@ from repro.server.queue import QueueFullError, ServerDrainingError
 #: Upper bound on one long-poll's hold time; clients wanting longer
 #: tails simply poll again with the returned cursor.
 MAX_POLL_TIMEOUT_S = 30.0
-
-#: Upper bound on an acceptable request body (a campaign spec is a
-#: small flat object; anything bigger is a confused client).
-MAX_BODY_BYTES = 1 << 20
 
 
 class CampaignHTTPServer(ThreadingHTTPServer):
@@ -145,8 +149,6 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
                 self._send_report(parts[1])
             elif parts == ["cache", "stats"]:
                 self._send_cache_stats()
-            elif len(parts) == 2 and parts[0] == "cache":
-                self._send_cache_get(parts[1])
             else:
                 self._send_json(404, {"error": f"no such path: {parsed.path}"})
         except UnknownJobError as error:
@@ -173,6 +175,8 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
                 self._send_json(200, self.server.campaign.drain())
             elif parts == ["cache", "lookup"]:
                 self._send_cache_lookup()
+            elif parts == ["cache", "publish"]:
+                self._receive_cache_publish()
             elif parts == ["fleet", "heartbeat"]:
                 self._send_json(
                     200,
@@ -195,22 +199,6 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
             self._send_json(409, {"error": str(error)})
         except TornMetaError as error:
             self._send_json(503, {"error": str(error)})
-        except CacheStoreError as error:
-            self._send_json(503, {"error": str(error)})
-        except ValueError as error:
-            self._send_json(400, {"error": str(error)})
-
-    def do_PUT(self) -> None:
-        parsed = urllib.parse.urlsplit(self.path)
-        parts = [part for part in parsed.path.split("/") if part]
-        try:
-            if len(parts) == 2 and parts[0] == "cache" \
-                    and parts[1] != "stats":
-                self._receive_cache_put(parts[1])
-            else:
-                self._send_json(404, {"error": f"no such path: {parsed.path}"})
-        except JobSpecError as error:
-            self._send_json(400, {"error": str(error)})
         except CacheStoreError as error:
             self._send_json(503, {"error": str(error)})
         except ValueError as error:
@@ -297,35 +285,6 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
             "fleet": self.server.campaign.fleet.gauges(),
         })
 
-    def _send_cache_get(self, key_id: str) -> None:
-        service = self._cache_service()
-        key = decode_key_id(key_id)
-        result = service.fetch(key)
-        if result is None:
-            self._send_json(404, {"miss": True})
-            return
-        self._send_json(200, json.loads(encode_record(key, result)))
-
-    def _receive_cache_put(self, key_id: str) -> None:
-        service = self._cache_service()
-        key = decode_key_id(key_id)
-        document = self._read_body()
-        try:
-            record_key, result, policy, _created = decode_record_meta(
-                json.dumps(document)
-            )
-        except (KeyError, TypeError, ValueError) as error:
-            raise ValueError(f"malformed cache record: {error}")
-        if record_key != key:
-            raise ValueError(
-                "the record's key does not match the key id in the URL"
-            )
-        service.publish(key, result, policy=policy)
-        body = b""
-        self.send_response(204)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-
     def _send_cache_lookup(self) -> None:
         service = self._cache_service()
         document = self._read_body()
@@ -343,6 +302,38 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
                 for key, result in found.items()
             },
         })
+
+    def _receive_cache_publish(self) -> None:
+        service = self._cache_service()
+        document = self._read_body()
+        records = document.get("records") if isinstance(document, dict) \
+            else None
+        if not isinstance(records, list):
+            raise ValueError(
+                'publish body must be {"records": [{"key": "<keyid>", '
+                '"record": {...}}, ...]}'
+            )
+        # Validate every record before writing any: a bad batch is
+        # refused whole, never half-applied.
+        items = []
+        for index, entry in enumerate(records):
+            try:
+                key = decode_key_id(entry["key"])
+                record_key, result, policy, _created = (
+                    decode_record_document(entry["record"])
+                )
+            except (AttributeError, KeyError, TypeError, ValueError) as error:
+                raise ValueError(f"malformed cache record {index}: {error}")
+            if record_key != key:
+                raise ValueError(
+                    f"cache record {index}: the record's key does not "
+                    f"match its key id"
+                )
+            items.append((key, result, policy))
+        service.publish_many(items)
+        self.send_response(204)
+        self.send_header("Content-Length", "0")
+        self.end_headers()
 
     # -- plumbing ------------------------------------------------------------
 

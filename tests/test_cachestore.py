@@ -10,8 +10,10 @@ normalization, and the session-emitted `store_stats` event.
 
 import json
 import os
+import sqlite3
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -288,6 +290,82 @@ class TestSqliteStore:
         assert survivor.get(_key(1)) is None  # uncommitted: rolled back
 
 
+def _usage(path, replica):
+    """``(last_used, use_count)`` of one row, read past the store."""
+    conn = sqlite3.connect(str(path))
+    try:
+        return conn.execute(
+            "SELECT last_used, use_count FROM runs WHERE replica = ?",
+            (replica,),
+        ).fetchone()
+    finally:
+        conn.close()
+
+
+class TestSqliteBatches:
+    def test_get_many_treats_expired_rows_as_misses_without_a_bump(
+        self, tmp_path
+    ):
+        path = tmp_path / "runs.sqlite"
+        with SqliteRunCache(path, ttl_s=0.05) as store:
+            store.put_many([(_key(0), _result(), None),
+                            (_key(1), _result(), None)])
+            time.sleep(0.1)
+            store.put_many([(_key(2), _result(2.0), {"mode": "stub"})])
+            stale = _usage(path, 0)
+            found = store.get_many([_key(0), _key(1), _key(2), _key(3)])
+            assert found == {_key(2): _result(2.0)}
+            # The expired rows earned no recency; the live hit did.
+            assert _usage(path, 0) == stale
+            assert _usage(path, 1)[1] == 0
+            assert _usage(path, 2)[1] == 1
+            assert store.expired() == 2
+            assert store.get_many([]) == {}
+
+    def test_put_many_enforces_max_entries(self, tmp_path):
+        path = tmp_path / "runs.sqlite"
+        with SqliteRunCache(path, max_entries=3) as store:
+            store.put_many([
+                (_key(replica), _result(float(replica)), None)
+                for replica in range(5)
+            ])
+            assert len(store) == 3
+            assert store.stats().evictions == 2
+        with SqliteRunCache(path, max_entries=3) as store:
+            keys = [_key(replica) for replica in range(2, 5)]
+            assert set(store.get_many(keys[:1])) == {_key(2)}  # refresh
+            store.put_many([(_key(5), _result(), None)])
+            # The least recently used row (replica 3) made room.
+            assert set(store.get_many(keys + [_key(5)])) == {
+                _key(2), _key(4), _key(5),
+            }
+
+    def test_put_many_upserts_duplicates_in_one_batch(self, tmp_path):
+        with SqliteRunCache(tmp_path / "runs.sqlite") as store:
+            store.put_many([
+                (_key(0), _result(1.0), None),
+                (_key(0), _result(2.0), None),
+            ])
+            assert len(store) == 1
+            assert store.get(_key(0)).metric == 2.0
+
+
+class TestJsonlBatches:
+    def test_put_many_is_one_append(self, tmp_path):
+        path = tmp_path / "runs.jsonl"
+        with JsonlRunCache(path) as store:
+            items = [(_key(replica), _result(), None) for replica in range(3)]
+            store.put_many(items)
+            size = path.stat().st_size
+            store.put_many(items)  # already durable: no growth
+            assert path.stat().st_size == size
+        reopened = JsonlRunCache(path)
+        assert reopened.get_many([_key(0), _key(2), _key(7)]) == {
+            _key(0): _result(), _key(2): _result(),
+        }
+        assert reopened.stale_records == 0
+
+
 class TestMigration:
     def test_migrate_copies_live_records_only(self, tmp_path):
         src = JsonlRunCache(tmp_path / "runs.jsonl")
@@ -303,6 +381,23 @@ class TestMigration:
             assert len(dst) == 2
             assert dst.get(_key(0)).metric == 2.0
             assert dst.get(_key(1)).metric == 3.0
+
+    def test_migrate_is_one_put_many(self, tmp_path, monkeypatch):
+        with JsonlRunCache(tmp_path / "runs.jsonl") as src:
+            for replica in range(4):
+                src.put(_key(replica), _result(float(replica)))
+        batches = []
+        original = SqliteRunCache.put_many
+
+        def put_many(store, items):
+            batches.append(len(items))
+            original(store, items)
+
+        monkeypatch.setattr(SqliteRunCache, "put_many", put_many)
+        assert migrate_store(
+            tmp_path / "runs.jsonl", tmp_path / "runs.sqlite",
+        ) == 4
+        assert batches == [4]
 
     def test_migrate_same_file_refused(self, tmp_path):
         with pytest.raises(CacheStoreError, match="same file"):

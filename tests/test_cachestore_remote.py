@@ -26,8 +26,13 @@ from repro.core.cachestore import (
     RemoteRunCache,
     open_store,
 )
+from repro.core.cachestore.base import encode_record
 from repro.core.cachestore.factory import parse_store_path, store_identity
-from repro.core.cachestore.remote import decode_key_id, encode_key_id
+from repro.core.cachestore.remote import (
+    MAX_BODY_BYTES,
+    decode_key_id,
+    encode_key_id,
+)
 from repro.core.runner import RunResult
 from repro.server import CampaignServer
 from repro.server.cache import CacheService, FleetTracker
@@ -155,16 +160,85 @@ class TestPlainKeyValue:
             counters = json.load(reply)["counters"]
         assert counters == {"hits": 1, "misses": 2}
 
-    def test_old_claim_query_is_ignored(self, cache_server):
-        url = f"{cache_server.url}/cache/{encode_key_id(KEY)}?claim=1&wait=5"
-        started = time.monotonic()
-        with pytest.raises(urllib.error.HTTPError) as caught:
-            urllib.request.urlopen(url)
-        assert time.monotonic() - started < 1.0
-        assert caught.value.code == 404
-        assert json.loads(caught.value.read()) == {"miss": True}
-        assert "X-Loupe-Claim" not in caught.value.headers
-        caught.value.close()
+
+class TestBatchedPublish:
+    """``POST /cache/publish``: batches of any size land whole, and a
+    bad batch lands not at all."""
+
+    def _post(self, server, document) -> "tuple[int, dict]":
+        request = urllib.request.Request(
+            f"{server.url}/cache/publish",
+            data=json.dumps(document).encode("utf-8"),
+            headers={"Content-Type": "application/json"},
+            method="POST",
+        )
+        try:
+            with urllib.request.urlopen(request) as reply:
+                return reply.status, {}
+        except urllib.error.HTTPError as error:
+            with error:
+                return error.code, json.loads(error.read())
+
+    def test_publish_over_the_body_cap_lands_every_record(
+        self, cache_server
+    ):
+        publishes = []
+
+        class _Counting(CampaignRequestHandler):
+            def _receive_cache_publish(self) -> None:
+                publishes.append(int(self.headers["Content-Length"]))
+                super()._receive_cache_publish()
+
+        cache_server._httpd.RequestHandlerClass = _Counting
+        # About 10 KB per record: 150 of them are well over 1 MiB.
+        big = RunResult(
+            success=True,
+            traced=Counter({f"feature_{index:05d}": index
+                            for index in range(400)}),
+        )
+        items = [
+            (KEY[:3] + (replica,), big, {"mode": "stub"})
+            for replica in range(150)
+        ]
+        with RemoteRunCache(cache_server.url) as store:
+            store.put_many(items)
+            assert len(store) == 150
+            found = store.get_many([key for key, _result, _policy in items])
+        assert len(found) == 150
+        assert all(result == big for result in found.values())
+        assert len(publishes) > 1
+        assert sum(publishes) > MAX_BODY_BYTES
+        assert max(publishes) <= MAX_BODY_BYTES
+
+    def test_malformed_batch_persists_nothing(self, cache_server):
+        good = {
+            "key": encode_key_id(KEY),
+            "record": json.loads(encode_record(KEY, _result())),
+        }
+        other = KEY[:3] + (1,)
+        for bad in (
+            {"key": encode_key_id(other), "record": good["record"]},
+            {"key": encode_key_id(other), "record": {"backend": "b"}},
+            {"key": "%%%", "record": good["record"]},
+            {"record": good["record"]},
+            "not-a-record",
+        ):
+            status, body = self._post(
+                cache_server, {"records": [good, bad]}
+            )
+            assert status == 400, (bad, body)
+            assert "cache record 1" in body["error"]
+        for junk in ({}, {"records": "many"}, []):
+            status, _body = self._post(cache_server, junk)
+            assert status == 400
+        with RemoteRunCache(cache_server.url) as store:
+            assert len(store) == 0
+
+    def test_client_surfaces_a_refused_publish(self, cache_server):
+        with RemoteRunCache(cache_server.url) as store:
+            with pytest.raises(CacheStoreError, match="said 400"):
+                store.put_many([(KEY, _result(), "not-a-policy")])
+            assert len(store) == 0
 
 
 class TestConnectionReuse:
@@ -252,10 +326,10 @@ class TestConnectionReuse:
         release = threading.Event()
 
         class _HeldGet(CampaignRequestHandler):
-            def _send_cache_get(self, key_id) -> None:
+            def _send_cache_lookup(self) -> None:
                 entered.set()
                 release.wait(10.0)
-                super()._send_cache_get(key_id)
+                super()._send_cache_lookup()
 
         cache_server._httpd.RequestHandlerClass = _HeldGet
         store = RemoteRunCache(cache_server.url)
@@ -287,13 +361,13 @@ class TestConnectionReuse:
         gets = []
 
         class _TornReply(CampaignRequestHandler):
-            def _send_cache_get(self, key_id) -> None:
-                gets.append(key_id)
-                self.send_response(404)
+            def _send_cache_lookup(self) -> None:
+                gets.append(self._read_body())
+                self.send_response(200)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", "64")
                 self.end_headers()
-                self.wfile.write(b'{"mi')
+                self.wfile.write(b'{"hi')
                 self.close_connection = True
 
         cache_server._httpd.RequestHandlerClass = _TornReply
@@ -394,9 +468,10 @@ class TestCacheServiceUnit:
     def test_fetch_publish_and_counters(self, tmp_path):
         service = CacheService(open_store(tmp_path / "runs.jsonl"))
         try:
-            assert service.fetch(KEY) is None
-            service.publish(KEY, _result())
-            assert service.fetch(KEY).to_dict() == _result().to_dict()
+            assert service.lookup([KEY]) == {}
+            service.publish_many([(KEY, _result(), None)])
+            found = service.lookup([KEY])
+            assert found[KEY].to_dict() == _result().to_dict()
             assert service.counters() == {"hits": 1, "misses": 1}
         finally:
             service.close()
@@ -404,7 +479,7 @@ class TestCacheServiceUnit:
     def test_lookup_is_a_batched_read(self, tmp_path):
         service = CacheService(open_store(tmp_path / "runs.jsonl"))
         try:
-            service.publish(KEY, _result())
+            service.publish_many([(KEY, _result(), None)])
             found = service.lookup([KEY, ("b", "w", "f", 9)])
             assert set(found) == {KEY}
             assert service.counters() == {"hits": 1, "misses": 1}
