@@ -29,13 +29,9 @@ tiers:
   confirmation and ddmin bisection stages, which must be answered
   partly from the probe-phase run cache.
 * **persistent cache** — a campaign writes its runs to an on-disk
-  run-cache store (:mod:`repro.core.cachestore`; both the JSONL and
-  the SQLite backend are measured); a second campaign over the same
-  path must answer >50% of its requests from disk without
-  re-executing anything.
-* **compaction** — ``compact()`` on a duplicate-heavy JSONL cache
-  must reclaim the superseded bulk while preserving every live key
-  (the ratio lands in the JSON as ``compaction.ratio``).
+  SQLite run-cache store (:mod:`repro.core.cachestore`); a second
+  campaign over the same path must answer >50% of its requests from
+  disk without re-executing anything.
 
 Every test records its numbers into ``BENCH_parallel_engine.json``
 (wall-clock per executor, cache hit rates) so CI can archive the perf
@@ -280,14 +276,11 @@ def test_process_shard_speedup(seven_app_set):
     )
 
 
-@pytest.mark.parametrize("store_kind", ["jsonl", "sqlite"])
-def test_persistent_cache_warm_campaign(seven_app_set, tmp_path,
-                                        store_kind):
+def test_persistent_cache_warm_campaign(seven_app_set, tmp_path):
     """A second campaign over the same run-cache path starts warm:
-    >50% of its requested runs answered from disk, zero re-executed —
-    on both store backends (the path's extension picks it)."""
+    >50% of its requested runs answered from disk, zero re-executed."""
     apps = _reduced(seven_app_set)
-    cache_path = tmp_path / f"runs.{store_kind}"
+    cache_path = tmp_path / "runs.sqlite"
 
     def campaign():
         started = time.monotonic()
@@ -302,14 +295,12 @@ def test_persistent_cache_warm_campaign(seven_app_set, tmp_path,
     warm, warm_s = campaign()
 
     print(f"\n=== Persistent run cache across campaigns "
-          f"({len(apps)} apps, {store_kind}) ===")
+          f"({len(apps)} apps, sqlite) ===")
     print(f"cold campaign: {cold_s:6.2f}s  [{cold.describe()}]")
     print(f"warm campaign: {warm_s:6.2f}s  [{warm.describe()}]")
     print(f"warm persistent hit rate: {warm.persistent_hit_rate:.0%}")
 
-    slot = ("persistent_cache" if store_kind == "jsonl"
-            else "persistent_cache_sqlite")
-    _RESULTS[slot] = {
+    _RESULTS["persistent_cache_sqlite"] = {
         "apps": len(apps),
         "cold_s": round(cold_s, 3),
         "warm_s": round(warm_s, 3),
@@ -324,56 +315,6 @@ def test_persistent_cache_warm_campaign(seven_app_set, tmp_path,
     assert warm.persistent_hit_rate > 0.5, (
         f"only {warm.persistent_hit_rate:.0%} persistent hits"
     )
-
-
-def test_jsonl_compaction_ratio(tmp_path):
-    """``compact()`` must shrink a duplicate-heavy JSONL cache while
-    preserving every live key's last-written value.
-
-    Duplicates model a long-lived cache whose records get superseded
-    over time (changed app builds re-keying nothing but overwriting
-    metrics, or the documented multi-writer re-appends): KEYS live
-    records, each superseded VERSIONS-1 times.
-    """
-    from collections import Counter
-
-    from repro.core.cachestore import JsonlRunCache
-    from repro.core.runner import RunResult
-
-    KEYS, VERSIONS = 200, 6
-    path = tmp_path / "bloated.jsonl"
-    with JsonlRunCache(path) as store:
-        for version in range(VERSIONS):
-            for index in range(KEYS):
-                store.put(
-                    ("sim:app-1.0", "bench", f"stub:feature-{index}", 0),
-                    RunResult(success=True,
-                              traced=Counter({"read": index}),
-                              metric=float(version)),
-                )
-        outcome = store.compact()
-
-    print(f"\n=== JSONL compaction ({KEYS} keys x {VERSIONS} versions) ===")
-    print(outcome.describe())
-
-    _RESULTS["compaction"] = {
-        "keys": KEYS,
-        "versions": VERSIONS,
-        "bytes_before": outcome.bytes_before,
-        "bytes_after": outcome.bytes_after,
-        "ratio": round(outcome.ratio, 2),
-    }
-    assert outcome.records_kept == KEYS
-    assert outcome.records_dropped == KEYS * (VERSIONS - 1)
-    # The acceptance point: compaction reclaims the superseded bulk.
-    assert outcome.ratio >= VERSIONS * 0.6, (
-        f"only {outcome.ratio:.2f}x reclaimed"
-    )
-    survivor = JsonlRunCache(path)
-    assert len(survivor) == KEYS and survivor.stale_records == 0
-    for index in range(KEYS):
-        key = ("sim:app-1.0", "bench", f"stub:feature-{index}", 0)
-        assert survivor.get(key).metric == float(VERSIONS - 1)
 
 
 def _conflicting_program():

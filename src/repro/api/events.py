@@ -340,13 +340,12 @@ class StoreStatsEvent(AnalysisEvent):
     """Observable state of the persistent run-cache store, emitted by
     the session after each analysis that used one.
 
-    ``store`` names the backend (``jsonl``/``sqlite``); ``entries``
-    is the live record count, ``loaded_records``/``stale_records``
-    the unique/superseded split found at open (stale is always 0 on
-    SQLite, whose upsert replaces in place); ``evictions`` counts
-    LRU evictions under ``max_entries``. The legacy string protocol
-    never reported store state, so :meth:`legacy_line` stays ``None``
-    and ``progress=`` transcripts are unchanged.
+    ``store`` names the backend (``sqlite``/``http``); ``entries``
+    is the live record count, ``loaded_records`` the count found at
+    open; ``evictions`` counts LRU evictions under ``max_entries``.
+    The legacy string protocol never reported store state, so
+    :meth:`legacy_line` stays ``None`` and ``progress=`` transcripts
+    are unchanged.
     """
 
     kind: ClassVar[str] = "store_stats"
@@ -355,7 +354,6 @@ class StoreStatsEvent(AnalysisEvent):
     path: str
     entries: int
     loaded_records: int = 0
-    stale_records: int = 0
     file_bytes: int = 0
     max_entries: "int | None" = None
     evictions: int = 0
@@ -369,7 +367,6 @@ class StoreStatsEvent(AnalysisEvent):
             path=stats.path,
             entries=stats.entries,
             loaded_records=stats.loaded_records,
-            stale_records=stats.stale_records,
             file_bytes=stats.file_bytes,
             max_entries=stats.max_entries,
             evictions=stats.evictions,

@@ -218,15 +218,16 @@ class LoupeSession:
     concurrent duplicate requests still yield one canonical record.
 
     ``cache_path`` opens a persistent cross-campaign run cache
-    (:func:`repro.core.cachestore.open_store` picks the backend from
-    the path: JSONL by default, SQLite for ``*.sqlite``/``sqlite:``
-    paths): every analysis of the session reads and feeds it, and a
-    later campaign — another process, another day — pointed at the
-    same path starts warm. After each analysis that used a store the
-    session emits a :class:`~repro.api.events.StoreStatsEvent` with
-    the store's live state. Sessions are context managers (``with
-    LoupeSession(...) as s:``) so the cache's file handle is released
-    deterministically.
+    (:func:`repro.core.cachestore.open_store`: a SQLite store for a
+    file path, a campaign server's cache for an ``http://`` URL; a
+    ``*.jsonl`` path is refused with the ``loupe cache migrate``
+    command that imports it). Every analysis of the session reads and
+    feeds it, and a later campaign — another process, another day —
+    pointed at the same path starts warm. After each analysis that
+    used a store the session emits a
+    :class:`~repro.api.events.StoreStatsEvent` with the store's live
+    state. Sessions are context managers (``with LoupeSession(...) as
+    s:``) so the cache's connection is released deterministically.
     """
 
     def __init__(
@@ -242,13 +243,12 @@ class LoupeSession:
         self._lock = threading.Lock()
         #: Open stores by *store identity* — the backend kind plus
         #: the resolved absolute path, so two spellings of one file
-        #: (``cache.jsonl`` vs its absolute path) share one store
-        #: (one open handle, one index) instead of racing two append
-        #: handles on the same inode. Every analysis of the session
-        #: sharing an identity shares the store — including per-call
-        #: config overrides naming their own ``run_cache`` — instead
-        #: of re-parsing the file per analyzer. All of them close
-        #: with the session.
+        #: (``cache.sqlite`` vs its absolute path) share one store
+        #: (one open connection) instead of opening two on the same
+        #: file. Every analysis of the session sharing an identity
+        #: shares the store — including per-call config overrides
+        #: naming their own ``run_cache`` — instead of opening one
+        #: per analyzer. All of them close with the session.
         self._stores: dict[tuple[str, str], RunCacheBackend] = {}
         #: The session-default persistent run cache: ``cache_path``
         #: wins, else ``config.run_cache``. A second campaign built

@@ -579,7 +579,6 @@ def _print_store_stats(stats) -> None:
     print(f"backend: {stats.kind}")
     print(f"entries: {stats.entries}")
     print(f"loaded_records: {stats.loaded_records}")
-    print(f"stale_records: {stats.stale_records}")
     print(f"file_bytes: {stats.file_bytes}")
     print(f"max_entries: "
           f"{stats.max_entries if stats.max_entries is not None else '-'}")
@@ -624,7 +623,7 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         elif args.cache_command == "gc":
             if args.max_entries is None and args.ttl is None:
                 print("cache gc needs an eviction dimension: "
-                      "--max-entries N (LRU cap, sqlite only) and/or "
+                      "--max-entries N (LRU cap) and/or "
                       "--ttl SECONDS (age sweep)", file=sys.stderr)
                 return 2
             _require_store_file(args.path)
@@ -694,6 +693,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             checkpoint_jobs=not args.no_checkpoint,
             verbose=args.verbose,
         )
+    except CacheStoreError as error:
+        print(f"serve: {error}", file=sys.stderr)
+        return 2
     except OSError as error:
         print(f"serve: cannot bind {args.host}:{args.port}: {error}",
               file=sys.stderr)
@@ -1053,15 +1055,16 @@ def build_parser() -> argparse.ArgumentParser:
                          help="persistent run-cache store; repeated "
                               "campaigns over the same path start "
                               "warm, across processes and sessions. "
-                              "The path picks the backend: *.sqlite "
-                              "(or sqlite:PATH) opens the concurrent "
-                              "bounded SQLite store, anything else "
-                              "an append-only JSONL file")
+                              "A file path opens a SQLite store, "
+                              "http://host:port a campaign server's "
+                              "/cache surface; a *.jsonl file must "
+                              "first be imported with `loupe cache "
+                              "migrate`")
     analyze.add_argument("--run-cache-max-entries", type=_positive_int,
                          default=None, metavar="N",
-                         help="LRU cap on the persistent run cache "
-                              "(sqlite backend only): puts past N "
-                              "records evict the least recently used")
+                         help="LRU cap on the persistent run cache: "
+                              "puts past N records evict the least "
+                              "recently used")
     analyze.add_argument("--run-cache-ttl", type=float, default=None,
                          metavar="SECONDS",
                          help="age cap on the persistent run cache: "
@@ -1166,38 +1169,39 @@ def build_parser() -> argparse.ArgumentParser:
     cache_stats.set_defaults(func=_cmd_cache)
     cache_compact = cache_sub.add_parser(
         "compact",
-        help="rewrite a store without its dead weight (jsonl: drop "
-             "superseded duplicates; sqlite: checkpoint + vacuum). "
-             "Offline operation — stop concurrent writers first",
+        help="reclaim a store's free space (checkpoint the WAL, then "
+             "vacuum). Offline operation — stop concurrent writers "
+             "first",
     )
     cache_compact.add_argument("path")
     cache_compact.set_defaults(func=_cmd_cache)
     cache_gc = cache_sub.add_parser(
-        "gc", help="evict records: by age (--ttl, any backend) and/or "
-                   "down to an LRU cap (--max-entries, sqlite only)"
+        "gc", help="evict records: by age (--ttl) and/or down to an "
+                   "LRU cap (--max-entries)"
     )
     cache_gc.add_argument("path")
     cache_gc.add_argument("--max-entries", type=_positive_int,
                           default=None, metavar="N",
                           help="keep at most N records, evicting the "
-                               "least recently used (sqlite only)")
+                               "least recently used")
     cache_gc.add_argument("--ttl", type=float, default=None,
                           metavar="SECONDS",
                           help="sweep records older than this many "
-                               "seconds (jsonl and sqlite)")
+                               "seconds")
     cache_gc.set_defaults(func=_cmd_cache)
     cache_migrate = cache_sub.add_parser(
         "migrate",
-        help="copy every live record between stores (e.g. an "
-             "organically-grown JSONL file into a bounded SQLite "
-             "cache); warmed campaigns stay warm across the move",
+        help="copy every live record, policy documents included, "
+             "between stores; a *.jsonl (or jsonl:PATH) side imports "
+             "or exports the JSONL format, the only way in or out of "
+             "a store. Warmed campaigns stay warm across the move",
     )
     cache_migrate.add_argument("source")
     cache_migrate.add_argument("destination")
     cache_migrate.add_argument("--max-entries", type=_positive_int,
                                default=None, metavar="N",
-                               help="open the destination with this "
-                                    "LRU cap (sqlite only)")
+                               help="open the destination store with "
+                                    "this LRU cap")
     cache_migrate.set_defaults(func=_cmd_cache)
     cache_verify = cache_sub.add_parser(
         "verify",

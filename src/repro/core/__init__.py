@@ -8,7 +8,6 @@ pseudo-file and partial-implementation support, and the
 
 from repro.core.analyzer import Analyzer, AnalyzerConfig, analyze, estimated_runtime_s
 from repro.core.cachestore import (
-    JsonlRunCache,
     RunCacheBackend,
     SqliteRunCache,
     StoreStats,
@@ -78,7 +77,6 @@ __all__ = [
     "FeatureReport",
     "ImpactSummary",
     "InterpositionPolicy",
-    "JsonlRunCache",
     "KNOWN_PSEUDO_FILES",
     "MetricComparison",
     "PartialImplementationSummary",

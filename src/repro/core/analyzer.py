@@ -121,12 +121,13 @@ class AnalyzerConfig:
     #: Optional path of a persistent run cache. Executed runs of
     #: deterministic backends are recorded, and later campaigns —
     #: other processes, other sessions — answer repeats from it, so a
-    #: re-run campaign starts warm. The path picks the backend
-    #: (:func:`repro.core.cachestore.open_store`): ``*.sqlite`` /
-    #: ``sqlite:...`` opens the concurrent bounded SQLite store,
-    #: anything else the append-only JSONL file.
+    #: re-run campaign starts warm. The path picks the store
+    #: (:func:`repro.core.cachestore.open_store`): a file path opens
+    #: the concurrent, boundable SQLite store, ``http://host:port`` a
+    #: campaign server's cache; a ``*.jsonl`` file is refused until
+    #: ``loupe cache migrate`` imports it.
     run_cache: "str | None" = None
-    #: Optional LRU cap on the persistent run cache (SQLite backend
+    #: Optional LRU cap on the persistent run cache (local stores
     #: only): a put that grows the store past this many records
     #: evicts the least recently used. ``None`` leaves it unbounded.
     run_cache_max_entries: "int | None" = None

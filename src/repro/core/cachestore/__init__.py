@@ -2,24 +2,21 @@
 
 The in-memory LRU of :class:`~repro.core.engine.ProbeEngine` amortizes
 run cost *within* one analysis; this package extends that amortization
-*across* campaigns, processes, and — with the SQLite backend —
-concurrent writers. It grew out of a single-file JSONL store into a
-small subsystem:
+*across* campaigns, processes and concurrent writers:
 
 * :mod:`~repro.core.cachestore.base` — the :class:`RunCacheBackend`
   protocol, the shared record codec, :class:`StoreStats` and
   :class:`CompactionResult`;
-* :mod:`~repro.core.cachestore.jsonl` — the original append-only
-  JSONL store, byte-compatible, now with ``compact()``;
-* :mod:`~repro.core.cachestore.sqlite` — a WAL-mode SQLite store:
-  multi-process safe, live read-through, upsert puts, LRU eviction
-  via ``last_used``/``use_count`` under ``max_entries``;
+* :mod:`~repro.core.cachestore.sqlite` — the local store, WAL-mode
+  SQLite: multi-process safe, live read-through, upsert puts, LRU
+  eviction via ``last_used``/``use_count`` under ``max_entries``;
 * :mod:`~repro.core.cachestore.remote` — :class:`RemoteRunCache`, an
   HTTP client for the campaign server's ``/cache`` surface: one
   store shared by a whole worker fleet;
 * :mod:`~repro.core.cachestore.factory` — :func:`open_store` (scheme
-  and extension aware) and :func:`migrate_store` (jsonl → sqlite
-  upgrade path);
+  and extension aware) and :func:`migrate_store`, which copies
+  records between stores and imports or exports JSONL files, the
+  format's only reader and writer;
 * :mod:`~repro.core.cachestore.verify` — :func:`verify_store`
   re-executes (a seeded sample of) the records and diffs stored vs
   fresh results, auditing the determinism contract the whole cache
@@ -43,8 +40,8 @@ from repro.core.cachestore.base import (
     StoreStats,
     decode_record,
     decode_record_full,
-    decode_record_meta,
     encode_record,
+    record_document,
 )
 from repro.core.cachestore.verify import (
     VerifyMismatch,
@@ -53,35 +50,31 @@ from repro.core.cachestore.verify import (
     verify_store,
 )
 from repro.core.cachestore.factory import (
-    SQLITE_SUFFIXES,
     migrate_store,
     open_store,
     parse_store_path,
     store_identity,
 )
-from repro.core.cachestore.jsonl import JsonlRunCache
 from repro.core.cachestore.remote import RemoteRunCache
 from repro.core.cachestore.sqlite import SqliteRunCache
 
 __all__ = [
     "CacheStoreError",
     "CompactionResult",
-    "JsonlRunCache",
     "RemoteRunCache",
     "RunCacheBackend",
-    "SQLITE_SUFFIXES",
     "SqliteRunCache",
     "StoreItem",
     "StoreKey",
     "StoreStats",
     "decode_record",
     "decode_record_full",
-    "decode_record_meta",
     "default_resolver",
     "encode_record",
     "migrate_store",
     "open_store",
     "parse_store_path",
+    "record_document",
     "store_identity",
     "verify_store",
     "VerifyMismatch",

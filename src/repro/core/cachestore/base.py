@@ -5,21 +5,20 @@ The probe engine sees a run cache as four operations — ``get_many``,
 engine batch dispatches and one batched write after it ends, so a
 batch costs one store round trip each way, not one per key. ``get``
 and ``put`` are the one-key forms of the same two calls. The ops
-tooling (``loupe cache``) adds four more: ``stats``, ``items``,
+tooling (``loupe cache``) adds four more: ``stats``, ``records``,
 ``compact``, ``gc``.
-:class:`RunCacheBackend` is that contract as a protocol; the concrete
-stores live next door (:mod:`repro.core.cachestore.jsonl`,
-:mod:`repro.core.cachestore.sqlite`) and
-:func:`~repro.core.cachestore.factory.open_store` picks between them
-by path.
+:class:`RunCacheBackend` is that contract as a protocol; the local
+store lives next door (:mod:`repro.core.cachestore.sqlite`) and
+:func:`~repro.core.cachestore.factory.open_store` picks it, or the
+HTTP client, by path.
 
-The on-disk *record* is shared too: one JSON object carrying the
-engine's cache key — ``(backend, workload, fingerprint, replica)``,
-the same quad as :data:`repro.core.engine.CacheKey` — and the
-serialized :class:`~repro.core.runner.RunResult`. The JSONL backend
-stores the object verbatim as one line; the SQLite backend stores the
-key as columns and the result as the same JSON payload, so migrating
-between backends is a lossless copy of ``items()``.
+The *record* is shared too: one JSON object carrying the engine's
+cache key — ``(backend, workload, fingerprint, replica)``, the same
+quad as :data:`repro.core.engine.CacheKey` — and the serialized
+:class:`~repro.core.runner.RunResult`. SQLite stores the key as
+columns and the record as its ``result`` payload, the HTTP cache
+carries it as a JSON object, and a JSONL export
+(``loupe cache migrate``) writes it as one line.
 """
 
 from __future__ import annotations
@@ -44,14 +43,21 @@ class CacheStoreError(LoupeError):
     """A run-cache store operation is invalid or unsupported."""
 
 
-def encode_record(
+#: How to turn a JSONL file into a live store, quoted by every error
+#: that meets one where a store was expected.
+MIGRATE_HINT = (
+    "convert it with `loupe cache migrate <src.jsonl> <dst.sqlite>`"
+)
+
+
+def record_document(
     key: StoreKey,
     result: RunResult,
     policy: "dict | None" = None,
-    *,
-    created: "float | None" = None,
-) -> str:
-    """One run as its canonical JSON record (no trailing newline).
+) -> dict:
+    """One run as its record object, the parsed form of
+    :func:`encode_record` (the HTTP cache embeds it in a larger
+    document).
 
     *policy* is the optional JSON form of the run's
     :class:`~repro.core.policy.InterpositionPolicy`
@@ -59,10 +65,7 @@ def encode_record(
     lossy digest — good enough to discriminate, not to *reconstruct*
     the policy — so recording the full document is what makes a
     record independently re-executable (``loupe cache verify``).
-    *created* is the record's write timestamp (``time.time()``), the
-    anchor of TTL eviction. Either being ``None`` omits its field
-    entirely, keeping records of writers that never knew about
-    policies or timestamps byte-identical.
+    ``None`` omits the field entirely.
     """
     backend, workload, fingerprint, replica = key
     record: dict = {
@@ -74,9 +77,17 @@ def encode_record(
     }
     if policy is not None:
         record["policy"] = policy
-    if created is not None:
-        record["created"] = created
-    return json.dumps(record, sort_keys=True)
+    return record
+
+
+def encode_record(
+    key: StoreKey,
+    result: RunResult,
+    policy: "dict | None" = None,
+) -> str:
+    """:func:`record_document` as canonical JSON (no trailing
+    newline)."""
+    return json.dumps(record_document(key, result, policy), sort_keys=True)
 
 
 def decode_record(line: str) -> tuple[StoreKey, RunResult]:
@@ -97,28 +108,17 @@ def decode_record_full(
     """Parse one JSON record to ``(key, result, policy_doc)``.
 
     ``policy_doc`` is ``None`` for records written before policies
-    were stored (or by writers that chose not to store one).
-    """
-    key, result, policy, _created = decode_record_meta(line)
-    return key, result, policy
-
-
-def decode_record_meta(
-    line: str,
-) -> "tuple[StoreKey, RunResult, dict | None, float | None]":
-    """Parse one JSON record to ``(key, result, policy_doc, created)``.
-
-    ``created`` is ``None`` for records written before timestamps were
-    stored; TTL eviction treats such records as ageless (never
-    expired) — conservative, since their age is unknowable.
+    were stored (or by writers that chose not to store one). Fields
+    the record carries beyond these (an old export's ``created``
+    timestamp) are ignored.
     """
     return decode_record_document(json.loads(line))
 
 
 def decode_record_document(
     record: dict,
-) -> "tuple[StoreKey, RunResult, dict | None, float | None]":
-    """:func:`decode_record_meta` for a record already parsed from
+) -> "tuple[StoreKey, RunResult, dict | None]":
+    """:func:`decode_record_full` for a record already parsed from
     JSON (the HTTP wire carries records as objects inside a larger
     document). Raises like it on malformed input."""
     key = (
@@ -130,10 +130,7 @@ def decode_record_document(
     policy = record.get("policy")
     if policy is not None and not isinstance(policy, dict):
         raise TypeError(f"malformed policy document: {policy!r}")
-    created = record.get("created")
-    if created is not None:
-        created = float(created)
-    return key, RunResult.from_dict(record["result"]), policy, created
+    return key, RunResult.from_dict(record["result"]), policy
 
 
 @dataclasses.dataclass(frozen=True)
@@ -142,18 +139,14 @@ class StoreStats:
     session's ``store_stats`` event.
 
     ``entries`` is the live record count (what ``len(store)`` says);
-    ``loaded_records`` the *unique* complete records found on disk when
-    the store was opened; ``stale_records`` the superseded duplicates
-    currently wasting space (always 0 on SQLite, whose upsert replaces
-    in place). ``file_bytes`` is the on-disk footprint (for SQLite:
-    database + WAL).
+    ``loaded_records`` the records found when the store was opened.
+    ``file_bytes`` is the on-disk footprint (database + WAL).
     """
 
     kind: str
     path: str
     entries: int
     loaded_records: int = 0
-    stale_records: int = 0
     file_bytes: int = 0
     max_entries: "int | None" = None
     evictions: int = 0
@@ -169,8 +162,6 @@ class StoreStats:
             f"{'y' if self.entries == 1 else 'ies'} in "
             f"{self.file_bytes} byte(s)"
         )
-        if self.stale_records:
-            base += f", {self.stale_records} stale record(s)"
         if self.max_entries is not None:
             base += f", capped at {self.max_entries}"
         if self.ttl_s is not None:
@@ -192,7 +183,6 @@ class CompactionResult:
 
     bytes_before: int
     bytes_after: int
-    records_dropped: int
     records_kept: int
 
     @property
@@ -205,8 +195,7 @@ class CompactionResult:
     def describe(self) -> str:
         return (
             f"compacted {self.bytes_before} -> {self.bytes_after} byte(s) "
-            f"({self.ratio:.2f}x), dropped {self.records_dropped} stale "
-            f"record(s), kept {self.records_kept}"
+            f"({self.ratio:.2f}x), kept {self.records_kept} record(s)"
         )
 
 
@@ -221,7 +210,7 @@ class RunCacheBackend(Protocol):
     the next operation transparently reopens the backing file.
     """
 
-    #: Stable backend discriminator (``"jsonl"``/``"sqlite"``).
+    #: Stable backend discriminator (``"sqlite"``/``"http"``).
     kind: str
     path: Path
 
@@ -251,20 +240,16 @@ class RunCacheBackend(Protocol):
 
     def __len__(self) -> int: ...
 
-    def items(self) -> list[tuple[StoreKey, RunResult]]:
-        """A snapshot of every live record (migration's read side)."""
-        ...
-
-    def records(self) -> "list[tuple[StoreKey, RunResult, dict | None]]":
-        """Like :meth:`items`, plus each record's stored policy
+    def records(self) -> "list[StoreItem]":
+        """A snapshot of every live record with its stored policy
         document (``None`` when the writer didn't store one) — the
-        read side of ``loupe cache verify``."""
+        read side of ``loupe cache migrate`` and ``verify``."""
         ...
 
     def stats(self) -> StoreStats: ...
 
     def compact(self) -> CompactionResult:
-        """Rewrite the backing file without its dead weight.
+        """Reclaim the backing file's free space.
 
         An *offline* ops operation: run it from ``loupe cache
         compact``, not while other processes hold open write handles

@@ -29,8 +29,8 @@ the keys asked for. Two campaigns missing one key at once both
 execute it and both publish it; the second publish upserts an
 identical record.
 
-Ops verbs that need the records on disk (``records``, ``items``,
-``compact``, ``gc``) are refused with a pointer at the server's own
+Ops verbs that need the records on disk (``records``, ``compact``,
+``gc``) are refused with a pointer at the server's own
 store file — run ``loupe cache ...`` against the path the server was
 started with, not through the wire.
 """
@@ -231,7 +231,7 @@ class RemoteRunCache:
         )
         found: "dict[StoreKey, RunResult]" = {}
         for record in (document or {}).get("hits", {}).values():
-            key, result, _policy, _created = decode_record_document(record)
+            key, result, _policy = decode_record_document(record)
             found[key] = result
         return found
 
@@ -285,11 +285,8 @@ class RemoteRunCache:
             f"`loupe serve --run-cache` was started with)"
         )
 
-    def items(self):
-        raise self._refuse_ops("migrate")
-
     def records(self):
-        raise self._refuse_ops("verify")
+        raise self._refuse_ops("migrate|verify")
 
     def compact(self):
         raise self._refuse_ops("compact")

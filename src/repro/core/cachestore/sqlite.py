@@ -1,7 +1,6 @@
 """The SQLite run-cache backend: shared-state, bounded, concurrent.
 
-Where the JSONL backend is a per-process index over an append-only
-file, this backend delegates the shared state to SQLite itself:
+The one local store. It delegates the shared state to SQLite itself:
 
 * **WAL mode** — writers append to a write-ahead log while readers
   keep reading; safe for several concurrent campaign *processes*
@@ -13,17 +12,16 @@ file, this backend delegates the shared state to SQLite itself:
   its own LRU, so hot keys don't re-pay the query.)
 * **Upsert puts** — ``INSERT ... ON CONFLICT DO UPDATE`` makes the
   already-durable check shared state rather than per-process memory:
-  two writers racing on one key leave exactly one row, fixing the
-  JSONL backend's duplicate re-appends. A ``put_many`` batch is one
-  transaction.
+  two writers racing on one key leave exactly one row. A ``put_many``
+  batch is one transaction.
 * **LRU eviction** — every row carries ``last_used``/``use_count``;
   with ``max_entries`` set, a put that pushes the table over the cap
   evicts the least-recently-used rows, keeping a long-lived service
   cache bounded. ``gc()`` applies the same policy on demand.
 
-``compact()`` here means checkpointing the WAL back into the main
-database and ``VACUUM``-ing free pages — nothing is ever superseded
-in place, so there are no stale records to drop.
+``compact()`` checkpoints the WAL back into the main database and
+``VACUUM``-s free pages. A JSONL file is not a database: opening one
+fails with the ``loupe cache migrate`` command that imports it.
 """
 
 from __future__ import annotations
@@ -35,6 +33,7 @@ import time
 from pathlib import Path
 
 from repro.core.cachestore.base import (
+    MIGRATE_HINT,
     CacheStoreError,
     CompactionResult,
     StoreItem,
@@ -135,7 +134,7 @@ class SqliteRunCache:
     max_entries:
         Optional LRU cap: a ``put`` that grows the table past this
         many rows evicts the least-recently-used surplus. ``None``
-        (the default) leaves the store unbounded, like JSONL.
+        (the default) leaves the store unbounded.
     ttl_s:
         Optional record age cap: a ``get`` of a row written (or last
         refreshed) more than this many seconds ago reads as a miss;
@@ -186,14 +185,13 @@ class SqliteRunCache:
                 conn.execute("PRAGMA synchronous=NORMAL")
                 conn.executescript(_SCHEMA)
             except sqlite3.DatabaseError as error:
-                # A mis-extensioned file (say, JSONL content behind a
-                # *.db name): surface the family error callers already
+                # Not a database (say, a JSONL cache under another
+                # name): surface the family error callers already
                 # handle, not a raw sqlite3 traceback.
                 conn.close()
                 raise CacheStoreError(
                     f"{self.path} is not a SQLite database: {error} "
-                    f"(jsonl files need a jsonl: prefix or a non-sqlite "
-                    f"extension)"
+                    f"(a JSONL run cache? {MIGRATE_HINT})"
                 ) from error
             self._conn = conn
         return self._conn
@@ -212,11 +210,6 @@ class SqliteRunCache:
     def loaded_records(self) -> int:
         """Complete records in the database when the store was opened."""
         return self._loaded_records
-
-    @property
-    def stale_records(self) -> int:
-        """Always 0: the upsert replaces superseded records in place."""
-        return 0
 
     def get(self, key: StoreKey) -> "RunResult | None":
         return self.get_many([key]).get(key)
@@ -273,7 +266,7 @@ class SqliteRunCache:
         campaigns never grow the store with records another writer
         already persisted — then ``max_entries`` eviction runs once.
         The optional policy document rides inside the record JSON of
-        the ``result`` column (same wire format as the JSONL backend)."""
+        the ``result`` column."""
         if not items:
             return
         now = time.time()
@@ -315,13 +308,7 @@ class SqliteRunCache:
         self._evictions += surplus
         return surplus
 
-    def items(self) -> list[tuple[StoreKey, RunResult]]:
-        with self._lock:
-            conn = self._connect_locked()
-            rows = conn.execute("SELECT result FROM runs").fetchall()
-        return [decode_record(row[0]) for row in rows]
-
-    def records(self) -> "list[tuple[StoreKey, RunResult, dict | None]]":
+    def records(self) -> "list[StoreItem]":
         with self._lock:
             conn = self._connect_locked()
             rows = conn.execute("SELECT result FROM runs").fetchall()
@@ -351,7 +338,6 @@ class SqliteRunCache:
             path=str(self.path),
             entries=entries,
             loaded_records=self._loaded_records,
-            stale_records=0,
             file_bytes=self._file_bytes(),
             max_entries=self.max_entries,
             evictions=evictions,
@@ -381,8 +367,7 @@ class SqliteRunCache:
 
     def compact(self) -> CompactionResult:
         """Checkpoint the WAL into the main database and reclaim free
-        pages (``VACUUM``). Drops no records — SQLite never leaves
-        superseded duplicates behind."""
+        pages (``VACUUM``). Drops no records."""
         bytes_before = self._file_bytes()
         with self._lock:
             conn = self._connect_locked()
@@ -398,7 +383,6 @@ class SqliteRunCache:
         return CompactionResult(
             bytes_before=bytes_before,
             bytes_after=self._file_bytes(),
-            records_dropped=0,
             records_kept=kept,
         )
 

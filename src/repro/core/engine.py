@@ -460,8 +460,8 @@ class ProbeEngine:
     cache_size:
         Maximum cached :class:`RunResult`s before least-recently-used
         eviction (this engine's in-memory LRU only; the persistent
-        store bounds itself — the SQLite backend evicts under its own
-        ``max_entries``, JSONL grows until compacted).
+        store bounds itself — SQLite evicts under its own
+        ``max_entries``).
     store:
         Optional persistent run-cache store (any
         :class:`~repro.core.cachestore.RunCacheBackend` —

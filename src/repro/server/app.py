@@ -227,16 +227,9 @@ class CampaignServer:
         store_stats = None
         cache_counters = None
         if self.cache is not None:
+            # The served store reads through live: commits by other
+            # campaign processes show without a reopen.
             cache_counters = self.cache.counters()
-        if self.run_cache is not None and Path(self.run_cache).exists():
-            # A fresh open per stats call, not the served surface's
-            # long-lived handle: JSONL records appended by concurrent
-            # campaign processes are only visible to new handles.
-            from repro.core.cachestore import open_store
-
-            with open_store(self.run_cache) as cache:
-                store_stats = cache.stats().to_dict()
-        elif self.cache is not None:
             store_stats = self.cache.store_stats()
         now = time.time()
         queue_ages = []

@@ -75,7 +75,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from repro.core.cachestore.base import (
     CacheStoreError,
     decode_record_document,
-    encode_record,
+    record_document,
 )
 from repro.core.cachestore.remote import (
     MAX_BODY_BYTES,  # the body cap the run cache's client splits under
@@ -298,7 +298,7 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
         found = service.lookup([decode_key_id(key_id) for key_id in keys])
         self._send_json(200, {
             "hits": {
-                encode_key_id(key): json.loads(encode_record(key, result))
+                encode_key_id(key): record_document(key, result)
                 for key, result in found.items()
             },
         })
@@ -319,8 +319,8 @@ class CampaignRequestHandler(BaseHTTPRequestHandler):
         for index, entry in enumerate(records):
             try:
                 key = decode_key_id(entry["key"])
-                record_key, result, policy, _created = (
-                    decode_record_document(entry["record"])
+                record_key, result, policy = decode_record_document(
+                    entry["record"]
                 )
             except (AttributeError, KeyError, TypeError, ValueError) as error:
                 raise ValueError(f"malformed cache record {index}: {error}")

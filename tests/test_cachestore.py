@@ -1,11 +1,12 @@
 """Tests for the run-cache storage subsystem (`repro.core.cachestore`).
 
-Covers the `open_store` factory (scheme/extension/magic dispatch), the
-JSONL backend's loaded/stale accounting and `compact()` rewrite, the
-SQLite backend (upsert puts, LRU eviction, live cross-process
-read-through, crash tolerance mid-transaction), jsonl→sqlite
-migration preserving warm campaigns, the session's store-identity
-normalization, and the session-emitted `store_stats` event.
+Covers the `open_store` factory (scheme/extension dispatch, and the
+refusal of JSONL paths with the migrate hint), the SQLite backend
+(upsert puts, LRU eviction, live cross-process read-through, crash
+tolerance mid-transaction), `migrate_store` (JSONL import and export
+keeping every key, result and policy, so warm campaigns stay warm),
+the session's store-identity normalization, and the session-emitted
+`store_stats` event.
 """
 
 import json
@@ -25,12 +26,13 @@ from repro.appsim.corpus import build
 from repro.core.analyzer import AnalyzerConfig
 from repro.core.cachestore import (
     CacheStoreError,
-    JsonlRunCache,
     SqliteRunCache,
+    encode_record,
     migrate_store,
     open_store,
     parse_store_path,
     store_identity,
+    verify_store,
 )
 from repro.core.runner import ResourceUsage, RunResult
 
@@ -75,113 +77,68 @@ class TestOpenStoreFactory:
         ("runs.sqlite", SqliteRunCache),
         ("runs.sqlite3", SqliteRunCache),
         ("runs.db", SqliteRunCache),
-        ("runs.jsonl", JsonlRunCache),
-        ("runs.cache", JsonlRunCache),
+        ("runs.cache", SqliteRunCache),
+        ("runs", SqliteRunCache),  # no extension
     ])
     def test_extension_dispatch(self, tmp_path, name, expected):
         with open_store(tmp_path / name) as store:
             assert isinstance(store, expected)
+            store.put(_key(), _result())
+        conn = sqlite3.connect(str(tmp_path / name))
+        try:
+            assert conn.execute("SELECT COUNT(*) FROM runs").fetchone() \
+                == (1,)
+        finally:
+            conn.close()
 
     def test_magic_sniff_rescues_renamed_sqlite(self, tmp_path):
         original = tmp_path / "runs.sqlite"
         with open_store(original) as store:
             store.put(_key(), _result())
-        renamed = tmp_path / "runs.cache"  # non-sqlite extension
+        renamed = tmp_path / "runs.cache"  # any name but *.jsonl
         original.rename(renamed)
         with open_store(renamed) as reopened:
             assert isinstance(reopened, SqliteRunCache)
             assert reopened.get(_key()) == _result()
 
+    @pytest.mark.parametrize("spelling", ["runs.jsonl", "jsonl:runs.db"])
+    def test_jsonl_path_refused_with_migrate_hint(self, tmp_path,
+                                                  monkeypatch, spelling):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "runs.jsonl").write_text(
+            encode_record(_key(), _result()) + "\n"
+        )
+        for knobs in ({}, {"ttl_s": 60.0}):
+            with pytest.raises(CacheStoreError,
+                               match="loupe cache migrate <src.jsonl>"):
+                open_store(spelling, **knobs)
+        # Refused before anything is opened or created.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["runs.jsonl"]
+
     def test_max_entries_refused_on_jsonl(self, tmp_path):
-        with pytest.raises(CacheStoreError, match="sqlite"):
+        with pytest.raises(CacheStoreError, match="loupe cache migrate"):
             open_store(tmp_path / "runs.jsonl", max_entries=10)
 
     def test_mis_extensioned_jsonl_raises_cachestore_error(self, tmp_path):
-        path = tmp_path / "runs.db"  # sqlite extension, jsonl content
-        with JsonlRunCache(path) as store:
+        with SqliteRunCache(tmp_path / "runs.sqlite") as store:
             store.put(_key(), _result())
-        with pytest.raises(CacheStoreError, match="not a SQLite"):
+        path = tmp_path / "runs.db"  # sqlite extension, jsonl content
+        migrate_store(tmp_path / "runs.sqlite", f"jsonl:{path}")
+        with pytest.raises(CacheStoreError, match="not a SQLite") as error:
             open_store(path)
+        assert "loupe cache migrate" in str(error.value)
 
     def test_store_identity_normalizes_spellings(self, tmp_path,
                                                  monkeypatch):
         monkeypatch.chdir(tmp_path)
-        absolute = str(tmp_path / "runs.jsonl")
-        assert store_identity("runs.jsonl") == store_identity(absolute)
-        assert store_identity("./runs.jsonl") == store_identity(absolute)
-        assert store_identity(f"jsonl:{absolute}") == \
-            store_identity("runs.jsonl")
-        # Different backends over one path are different stores.
-        assert store_identity(f"sqlite:{absolute}") != \
+        absolute = str(tmp_path / "runs.sqlite")
+        assert store_identity("runs.sqlite") == store_identity(absolute)
+        assert store_identity("./runs.sqlite") == store_identity(absolute)
+        assert store_identity(f"sqlite:{absolute}") == \
+            store_identity("runs.sqlite")
+        # The JSONL format over one path is a different thing.
+        assert store_identity(f"jsonl:{absolute}") != \
             store_identity(absolute)
-
-
-class TestJsonlAccounting:
-    def test_loaded_vs_stale_split(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        with JsonlRunCache(path) as store:
-            store.put(_key(0), _result(1.0))
-            store.put(_key(1), _result(2.0))
-            store.put(_key(0), _result(3.0))  # supersedes in place
-            assert store.stale_records == 1
-        reopened = JsonlRunCache(path)
-        # 3 lines on disk: 2 unique keys, 1 superseded duplicate.
-        assert reopened.loaded_records == 2
-        assert reopened.stale_records == 1
-        assert len(reopened) == reopened.loaded_records == 2
-        assert reopened.get(_key(0)).metric == 3.0
-
-    def test_compact_drops_stale_keeps_live(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        store = JsonlRunCache(path)
-        live = {}
-        for replica in range(4):
-            for version in range(5):
-                live[_key(replica)] = _result(float(version))
-                store.put(_key(replica), _result(float(version)))
-        bytes_before = path.stat().st_size
-        outcome = store.compact()
-        assert outcome.bytes_before == bytes_before
-        assert outcome.bytes_after < bytes_before
-        assert outcome.records_dropped == 4 * 4
-        assert outcome.records_kept == 4
-        assert outcome.ratio > 2.0
-        assert store.stale_records == 0
-        reopened = JsonlRunCache(path)
-        assert reopened.stale_records == 0
-        assert len(reopened) == 4
-        for key, result in live.items():
-            assert reopened.get(key) == result
-
-    def test_compact_then_put_reopens_handle(self, tmp_path):
-        store = JsonlRunCache(tmp_path / "runs.jsonl")
-        store.put(_key(0), _result())
-        store.compact()
-        store.put(_key(1), _result())
-        assert len(JsonlRunCache(store.path)) == 2
-
-    def test_compact_empty_store_is_noop(self, tmp_path):
-        outcome = JsonlRunCache(tmp_path / "runs.jsonl").compact()
-        assert outcome.bytes_before == outcome.bytes_after == 0
-        assert not (tmp_path / "runs.jsonl").exists()
-
-    def test_gc_unsupported(self, tmp_path):
-        with pytest.raises(CacheStoreError, match="migrate"):
-            JsonlRunCache(tmp_path / "runs.jsonl").gc(10)
-
-    def test_two_writers_append_duplicates_resolved_at_load(self, tmp_path):
-        # The documented JSONL limitation: two store instances (two
-        # campaigns) sharing one file cannot see each other's puts, so
-        # the second append duplicates the first writer's record.
-        path = tmp_path / "runs.jsonl"
-        a, b = JsonlRunCache(path), JsonlRunCache(path)
-        a.put(_key(), _result(1.0))
-        b.put(_key(), _result(1.0))  # b's index is blind to a's write
-        a.close(), b.close()
-        reopened = JsonlRunCache(path)
-        assert reopened.loaded_records == 1
-        assert reopened.stale_records == 1  # the re-appended duplicate
-        assert reopened.get(_key()) == _result(1.0)
 
 
 class TestSqliteStore:
@@ -194,7 +151,6 @@ class TestSqliteStore:
         reopened = SqliteRunCache(path)
         assert reopened.get(_key()) == _result()
         assert len(reopened) == reopened.loaded_records == 1
-        assert reopened.stale_records == 0
 
     def test_close_idempotent_and_reconnects(self, tmp_path):
         store = SqliteRunCache(tmp_path / "runs.sqlite")
@@ -205,9 +161,8 @@ class TestSqliteStore:
         assert len(store) == 2
 
     def test_upsert_fixes_two_writer_duplicates(self, tmp_path):
-        # The regression the JSONL backend documents: two writer
-        # instances sharing one file. SQLite's upsert is shared
-        # state, so the store never grows with re-put records.
+        # Two writer instances sharing one file: SQLite's upsert is
+        # shared state, so the store never grows with re-put records.
         path = tmp_path / "runs.sqlite"
         a, b = SqliteRunCache(path), SqliteRunCache(path)
         a.put(_key(), _result(1.0))
@@ -350,32 +305,18 @@ class TestSqliteBatches:
             assert store.get(_key(0)).metric == 2.0
 
 
-class TestJsonlBatches:
-    def test_put_many_is_one_append(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        with JsonlRunCache(path) as store:
-            items = [(_key(replica), _result(), None) for replica in range(3)]
-            store.put_many(items)
-            size = path.stat().st_size
-            store.put_many(items)  # already durable: no growth
-            assert path.stat().st_size == size
-        reopened = JsonlRunCache(path)
-        assert reopened.get_many([_key(0), _key(2), _key(7)]) == {
-            _key(0): _result(), _key(2): _result(),
-        }
-        assert reopened.stale_records == 0
-
-
 class TestMigration:
     def test_migrate_copies_live_records_only(self, tmp_path):
-        src = JsonlRunCache(tmp_path / "runs.jsonl")
-        src.put(_key(0), _result(1.0))
-        src.put(_key(0), _result(2.0))  # superseded: must not survive
-        src.put(_key(1), _result(3.0))
-        src.close()
-        migrated = migrate_store(
-            tmp_path / "runs.jsonl", tmp_path / "runs.sqlite",
-        )
+        """A JSONL import keeps each key's last record, once."""
+        path = tmp_path / "runs.jsonl"
+        path.write_text("".join(
+            encode_record(key, result) + "\n" for key, result in (
+                (_key(0), _result(1.0)),
+                (_key(0), _result(2.0)),  # supersedes the line above
+                (_key(1), _result(3.0)),
+            )
+        ))
+        migrated = migrate_store(path, tmp_path / "runs.sqlite")
         assert migrated == 2
         with open_store(tmp_path / "runs.sqlite") as dst:
             assert len(dst) == 2
@@ -383,9 +324,11 @@ class TestMigration:
             assert dst.get(_key(1)).metric == 3.0
 
     def test_migrate_is_one_put_many(self, tmp_path, monkeypatch):
-        with JsonlRunCache(tmp_path / "runs.jsonl") as src:
-            for replica in range(4):
-                src.put(_key(replica), _result(float(replica)))
+        path = tmp_path / "runs.jsonl"
+        path.write_text("".join(
+            encode_record(_key(replica), _result(float(replica))) + "\n"
+            for replica in range(4)
+        ))
         batches = []
         original = SqliteRunCache.put_many
 
@@ -394,61 +337,108 @@ class TestMigration:
             original(store, items)
 
         monkeypatch.setattr(SqliteRunCache, "put_many", put_many)
-        assert migrate_store(
-            tmp_path / "runs.jsonl", tmp_path / "runs.sqlite",
-        ) == 4
+        assert migrate_store(path, tmp_path / "runs.sqlite") == 4
         assert batches == [4]
 
     def test_migrate_same_file_refused(self, tmp_path):
         with pytest.raises(CacheStoreError, match="same file"):
-            migrate_store(tmp_path / "runs.jsonl",
-                          f"jsonl:{tmp_path / 'runs.jsonl'}")
-        # A scheme forcing the *other* backend onto the same physical
-        # file must be refused too — not corrupt it mid-copy.
+            migrate_store(tmp_path / "runs.sqlite",
+                          f"sqlite:{tmp_path / 'runs.sqlite'}")
+        # A scheme naming the same physical file under the *other*
+        # format must be refused too — not corrupt it mid-copy.
         with pytest.raises(CacheStoreError, match="same file"):
             migrate_store(tmp_path / "runs.jsonl",
                           f"sqlite:{tmp_path / 'runs.jsonl'}")
 
+    def test_policy_survives_jsonl_import(self, tmp_path):
+        """The policy document is what makes a record re-executable: a
+        JSONL import must keep it, and `verify` must re-run it."""
+        app = build("weborf")
+        with LoupeSession(cache_path=str(tmp_path / "warm.sqlite")) as s:
+            s.analyze(AnalysisRequest.for_app(app, "health"))
+        with SqliteRunCache(tmp_path / "warm.sqlite") as store:
+            key, result, policy = next(
+                record for record in sorted(store.records(), key=str)
+                if record[2] is not None
+            )
+        path = tmp_path / "runs.jsonl"
+        path.write_text(encode_record(key, result, policy) + "\n")
+        assert migrate_store(path, tmp_path / "runs.sqlite") == 1
+        with SqliteRunCache(tmp_path / "runs.sqlite") as store:
+            assert store.records() == [(key, result, policy)]
+            report = verify_store(store)
+        assert (report.checked, report.matched) == (1, 1)
+        assert report.unverifiable == 0 and report.ok
+
+    def test_round_trip_keeps_every_key_result_and_policy(self, tmp_path):
+        items = [
+            (_key(0), _result(1.0), {"syscalls": {"read": "stub"}}),
+            (_key(1), _result(2.0, success=False), None),
+            (_key(0, "fake:open"), _result(None), {"syscalls": {}}),
+        ]
+        with SqliteRunCache(tmp_path / "a.sqlite") as store:
+            store.put_many(items)
+        assert migrate_store(tmp_path / "a.sqlite",
+                             tmp_path / "runs.jsonl") == 3
+        assert migrate_store(tmp_path / "runs.jsonl",
+                             tmp_path / "b.sqlite") == 3
+        with SqliteRunCache(tmp_path / "b.sqlite") as store:
+            assert sorted(store.records(), key=str) == \
+                sorted(items, key=str)
+        # The export is whole: no temporary file is left behind.
+        assert sorted(p.name for p in tmp_path.iterdir()
+                      if "jsonl" in p.name) == ["runs.jsonl"]
+
+    def test_export_refuses_an_entry_cap(self, tmp_path):
+        with SqliteRunCache(tmp_path / "runs.sqlite") as store:
+            store.put(_key(), _result())
+        with pytest.raises(CacheStoreError, match="max_entries"):
+            migrate_store(tmp_path / "runs.sqlite", tmp_path / "runs.jsonl",
+                          max_entries=5)
+
     def test_warm_campaign_survives_migration(self, tmp_path):
-        """The acceptance criterion: a campaign warmed on JSONL,
-        migrated to SQLite, reports the same persistent_hits as a
-        JSONL warm re-run — and re-executes nothing."""
-        jsonl_path = str(tmp_path / "campaign.jsonl")
+        """The acceptance criterion: a campaign warmed on SQLite,
+        exported to JSONL and imported into a fresh SQLite store,
+        reports the same persistent_hits as a warm re-run of the
+        original store — and re-executes nothing."""
         sqlite_path = str(tmp_path / "campaign.sqlite")
+        jsonl_path = str(tmp_path / "campaign.jsonl")
+        imported_path = str(tmp_path / "imported.sqlite")
         app = build("weborf")
         request = AnalysisRequest.for_app(app, "health")
 
-        with LoupeSession(cache_path=jsonl_path) as cold:
+        with LoupeSession(cache_path=sqlite_path) as cold:
             cold.analyze(request)
-        with LoupeSession(cache_path=jsonl_path) as warm_jsonl:
-            jsonl_result = warm_jsonl.analyze(request)
-            jsonl_stats = warm_jsonl.last_engine_stats
-        assert jsonl_stats.persistent_hits > 0
-        assert jsonl_stats.runs_executed == 0
+        with LoupeSession(cache_path=sqlite_path) as warm:
+            warm_result = warm.analyze(request)
+            warm_stats = warm.last_engine_stats
+        assert warm_stats.persistent_hits > 0
+        assert warm_stats.runs_executed == 0
 
-        migrate_store(jsonl_path, sqlite_path)
+        migrate_store(sqlite_path, jsonl_path)
+        migrate_store(jsonl_path, imported_path)
 
-        with LoupeSession(cache_path=sqlite_path) as warm_sqlite:
-            sqlite_result = warm_sqlite.analyze(
+        with LoupeSession(cache_path=imported_path) as warm_imported:
+            imported_result = warm_imported.analyze(
                 AnalysisRequest.for_app(app, "health")
             )
-            sqlite_stats = warm_sqlite.last_engine_stats
-        assert sqlite_stats.persistent_hits == jsonl_stats.persistent_hits
-        assert sqlite_stats.runs_executed == 0
-        assert json.dumps(sqlite_result.to_dict(), sort_keys=True) == \
-            json.dumps(jsonl_result.to_dict(), sort_keys=True)
+            imported_stats = warm_imported.last_engine_stats
+        assert imported_stats.persistent_hits == warm_stats.persistent_hits
+        assert imported_stats.runs_executed == 0
+        assert json.dumps(imported_result.to_dict(), sort_keys=True) == \
+            json.dumps(warm_result.to_dict(), sort_keys=True)
 
 
 class TestSessionIntegration:
     def test_store_for_normalizes_path_spellings(self, tmp_path,
                                                  monkeypatch):
         """The `_store_for` bugfix: two spellings of one file must
-        share one store, not race two append handles on one inode."""
+        share one store, not open two connections on one file."""
         monkeypatch.chdir(tmp_path)
-        absolute = str(tmp_path / "cache.jsonl")
-        with LoupeSession(cache_path="cache.jsonl") as session:
+        absolute = str(tmp_path / "cache.sqlite")
+        with LoupeSession(cache_path="cache.sqlite") as session:
             assert session._store_for(absolute) is session.run_cache
-            assert session._store_for("./cache.jsonl") is session.run_cache
+            assert session._store_for("./cache.sqlite") is session.run_cache
             assert len(session._stores) == 1
 
     def test_sqlite_session_campaign_warm(self, tmp_path):

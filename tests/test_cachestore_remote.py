@@ -2,7 +2,7 @@
 
 Covers the wire store (:class:`RemoteRunCache` against a live
 :class:`CampaignServer`) as a plain key-value store, TTL expiry on the
-local backends that the served store builds on, and the in-process
+local store that the served store builds on, and the in-process
 :class:`CacheService` primitives.
 """
 
@@ -105,11 +105,36 @@ class TestRemoteRoundTrip:
     def test_ops_verbs_point_at_the_server_file(self, cache_server):
         with RemoteRunCache(cache_server.url) as store:
             for operation in (
-                store.items, store.records, store.compact, store.gc,
-                store.expired,
+                store.records, store.compact, store.gc, store.expired,
             ):
                 with pytest.raises(CacheStoreError, match="loupe cache"):
                     operation()
+
+    def test_lookup_reply_bytes_are_stable(self, cache_server):
+        """The lookup route embeds each record as an object; its bytes
+        are the canonical record JSON, pinned here on a fixed record."""
+        result = RunResult(success=True, traced=Counter({"read": 3}),
+                           metric=12.5)
+        with RemoteRunCache(cache_server.url) as store:
+            store.put(KEY, result, policy={"syscalls": {"read": "stub"}})
+        request = urllib.request.Request(
+            cache_server.url + "/cache/lookup", method="POST",
+            data=json.dumps({"keys": [encode_key_id(KEY)]}).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        with urllib.request.urlopen(request) as reply:
+            body = reply.read()
+        assert body == (
+            b'{"hits": {"WyJzaW06cmVkaXMtMS4wIiwgImJlbmNoIiwgImZpbmdlcnBya'
+            b'W50IiwgMF0": {"backend": "sim:redis-1.0", "fingerprint": '
+            b'"fingerprint", "replica": 0, "result": {"duration_s": 0.0, '
+            b'"exit_code": 0, "failure_reason": null, "metric": 12.5, '
+            b'"pseudo_files": {}, "resources": {"fd_peak": 0, '
+            b'"mem_peak_kb": 0}, "success": true, "traced": {"read": 3}}, '
+            b'"workload": "bench"}}}\n'
+        )
+        hit = json.loads(body)["hits"][encode_key_id(KEY)]
+        assert json.dumps(hit, sort_keys=True) == encode_record(KEY, result)
 
     def test_open_store_dispatches_http(self, cache_server):
         with open_store(cache_server.url) as store:
@@ -391,10 +416,10 @@ def _settles(probe, target, timeout=5.0) -> bool:
     return True
 
 
-# -- TTL on the local backends ----------------------------------------------
+# -- TTL on the local store --------------------------------------------------
 
 
-@pytest.mark.parametrize("suffix", ["runs.jsonl", "runs.sqlite"])
+@pytest.mark.parametrize("suffix", ["runs.sqlite"])
 class TestTTLExpiry:
     def test_expiry_gc_and_revive(self, tmp_path, suffix):
         path = tmp_path / suffix
@@ -436,7 +461,7 @@ class TestTTLCli:
             store.put(KEY, _result())
 
     def test_stats_ttl_reports_expired(self, tmp_path, capsys):
-        path = str(tmp_path / "runs.jsonl")
+        path = str(tmp_path / "runs.sqlite")
         self._warm(path)
         time.sleep(0.05)
         assert main(["cache", "stats", path, "--ttl", "0.01"]) == 0
@@ -444,7 +469,8 @@ class TestTTLCli:
         assert "expired: 1" in out
 
     def test_gc_ttl_sweeps_both_backends(self, tmp_path, capsys):
-        for suffix in ("runs.jsonl", "runs.sqlite"):
+        # Both spellings of a local store: a SQLite name, and none.
+        for suffix in ("runs.sqlite", "runs"):
             path = str(tmp_path / suffix)
             self._warm(path)
             time.sleep(0.05)
@@ -466,7 +492,7 @@ class TestTTLCli:
 
 class TestCacheServiceUnit:
     def test_fetch_publish_and_counters(self, tmp_path):
-        service = CacheService(open_store(tmp_path / "runs.jsonl"))
+        service = CacheService(open_store(tmp_path / "runs.sqlite"))
         try:
             assert service.lookup([KEY]) == {}
             service.publish_many([(KEY, _result(), None)])
@@ -477,7 +503,7 @@ class TestCacheServiceUnit:
             service.close()
 
     def test_lookup_is_a_batched_read(self, tmp_path):
-        service = CacheService(open_store(tmp_path / "runs.jsonl"))
+        service = CacheService(open_store(tmp_path / "runs.sqlite"))
         try:
             service.publish_many([(KEY, _result(), None)])
             found = service.lookup([KEY, ("b", "w", "f", 9)])

@@ -508,41 +508,47 @@ class TestCacheOps:
                      "--run-cache", path]) == 0
 
     def test_stats_jsonl(self, tmp_path, capsys):
-        path = str(tmp_path / "runs.jsonl")
-        self._warm(path)
+        """A JSONL file is not a live store: every ops verb refuses it
+        with the migrate command, and exits 2."""
+        sqlite = str(tmp_path / "runs.sqlite")
+        jsonl = str(tmp_path / "runs.jsonl")
+        self._warm(sqlite)
+        assert main(["cache", "migrate", sqlite, jsonl]) == 0
         capsys.readouterr()
-        assert main(["cache", "stats", path]) == 0
-        out = capsys.readouterr().out
-        assert "backend: jsonl" in out
-        assert "stale_records: 0" in out
-        assert "entries:" in out
+        for verb in ("stats", "compact", "verify"):
+            assert main(["cache", verb, jsonl]) == 2
+            assert "loupe cache migrate" in capsys.readouterr().err
 
     def test_compact_reports_outcome(self, tmp_path, capsys):
-        path = str(tmp_path / "runs.jsonl")
+        path = str(tmp_path / "runs.sqlite")
         self._warm(path)
         capsys.readouterr()
         assert main(["cache", "compact", path]) == 0
-        assert "compacted" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "compacted" in out and "kept" in out
 
     def test_gc_requires_sqlite(self, tmp_path, capsys):
-        path = str(tmp_path / "runs.jsonl")
-        self._warm(path)
-        capsys.readouterr()
-        assert main(["cache", "gc", path, "--max-entries", "5"]) == 2
+        path = tmp_path / "runs.jsonl"
+        path.write_text("")
+        assert main(["cache", "gc", str(path), "--max-entries", "5"]) == 2
         assert "migrate" in capsys.readouterr().err
 
     def test_migrate_then_warm_sqlite(self, tmp_path, capsys):
-        jsonl = str(tmp_path / "runs.jsonl")
         sqlite = str(tmp_path / "runs.sqlite")
-        self._warm(jsonl)
-        capsys.readouterr()
-        assert main(["cache", "migrate", jsonl, sqlite]) == 0
-        assert "migrated" in capsys.readouterr().out
+        jsonl = str(tmp_path / "runs.jsonl")
+        imported = str(tmp_path / "runs2.sqlite")
         self._warm(sqlite)
+        self._warm(sqlite)
+        warm = capsys.readouterr().out
+        assert main(["cache", "migrate", sqlite, jsonl]) == 0
+        assert main(["cache", "migrate", jsonl, imported]) == 0
+        assert "migrated" in capsys.readouterr().out
+        self._warm(imported)
         out = capsys.readouterr().out
-        assert "from the persistent cache" in out
         assert "0 executed" in out
-        assert main(["cache", "gc", sqlite, "--max-entries", "5"]) == 0
+        # The imported store serves exactly what the original did.
+        assert out.splitlines()[-1] == warm.splitlines()[-1]
+        assert main(["cache", "gc", imported, "--max-entries", "5"]) == 0
         assert "evicted" in capsys.readouterr().out
 
     def test_analyze_sqlite_run_cache_with_cap(self, tmp_path, capsys):
@@ -560,7 +566,16 @@ class TestCacheOps:
         assert main(["analyze", "--app", "weborf", "--workload", "health",
                      "--run-cache", path,
                      "--run-cache-max-entries", "25"]) == 2
-        assert "sqlite" in capsys.readouterr().err
+        assert "loupe cache migrate" in capsys.readouterr().err
+
+    def test_analyze_jsonl_run_cache_refused(self, tmp_path, capsys):
+        path = tmp_path / "x.jsonl"
+        assert main(["analyze", "--app", "weborf", "--workload", "health",
+                     "--run-cache", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert "loupe cache migrate <src.jsonl> <dst.sqlite>" in captured.err
+        assert captured.out == ""
+        assert not path.exists()
 
     def test_cache_ops_missing_path_exit_2(self, tmp_path, capsys):
         missing = str(tmp_path / "nothere.sqlite")
@@ -584,7 +599,9 @@ class TestCacheOps:
         path = tmp_path / "runs.db"
         path.write_text('{"not": "a database"}\n')
         assert main(["cache", "stats", str(path)]) == 2
-        assert "not a SQLite database" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "not a SQLite database" in err
+        assert "loupe cache migrate" in err
 
 
 class TestLint:

@@ -54,7 +54,6 @@ from repro.appsim.corpus import build
 from repro.appsim.program import SimProgram, SyscallOp, WorkloadProfile
 from repro.core.analyzer import Analyzer, AnalyzerConfig
 from repro.core.cachestore import (
-    JsonlRunCache,
     SqliteRunCache,
     VerifyReport,
     verify_store,
@@ -797,7 +796,7 @@ def _populate_store(store, features=("getpid", "futex")):
 
 class TestCacheVerify:
     def test_clean_store_verifies(self, tmp_path):
-        store = _populate_store(JsonlRunCache(tmp_path / "cache.jsonl"))
+        store = _populate_store(SqliteRunCache(tmp_path / "cache.sqlite"))
         report = verify_store(store)
         assert report.ok
         assert report.total == report.checked == report.matched == 2
@@ -810,7 +809,7 @@ class TestCacheVerify:
         assert report.ok and report.matched == report.total == 2
 
     def test_planted_corruption_detected(self, tmp_path):
-        store = _populate_store(JsonlRunCache(tmp_path / "cache.jsonl"))
+        store = _populate_store(SqliteRunCache(tmp_path / "cache.sqlite"))
         key, stored, policy_doc = sorted(store.records())[0]
         tampered = dataclasses.replace(
             stored, success=not stored.success, failure_reason="tampered",
@@ -825,7 +824,7 @@ class TestCacheVerify:
 
     def test_policy_fingerprint_mismatch_detected(self, tmp_path):
         """A policy document that does not describe its key is torn."""
-        store = _populate_store(JsonlRunCache(tmp_path / "cache.jsonl"))
+        store = _populate_store(SqliteRunCache(tmp_path / "cache.sqlite"))
         key, stored, _policy_doc = sorted(store.records())[0]
         store.put(key, stored, policy=stubbing("uname").to_dict())
         report = verify_store(store)
@@ -835,7 +834,7 @@ class TestCacheVerify:
     def test_records_without_policy_or_backend_are_unverifiable(
         self, tmp_path
     ):
-        store = _populate_store(JsonlRunCache(tmp_path / "cache.jsonl"))
+        store = _populate_store(SqliteRunCache(tmp_path / "cache.sqlite"))
         store.put(
             ("sim:redis-6.2", "health", "stub:zzz", 0), _result(),
         )
@@ -850,7 +849,7 @@ class TestCacheVerify:
 
     def test_sampling_is_seeded(self, tmp_path):
         store = _populate_store(
-            JsonlRunCache(tmp_path / "cache.jsonl"),
+            SqliteRunCache(tmp_path / "cache.sqlite"),
             features=("getpid", "futex", "uname", "brk"),
         )
         first = verify_store(store, sample=2, seed=3)
@@ -863,8 +862,8 @@ class TestCacheVerify:
     def test_cli_verify_exit_codes(self, tmp_path, capsys):
         from repro.cli import main
 
-        path = tmp_path / "cache.jsonl"
-        store = _populate_store(JsonlRunCache(path))
+        path = tmp_path / "cache.sqlite"
+        store = _populate_store(SqliteRunCache(path))
         assert main(["cache", "verify", str(path)]) == 0
         out = capsys.readouterr().out
         assert "2 matched, 0 mismatched" in out
@@ -873,7 +872,7 @@ class TestCacheVerify:
         tampered = dataclasses.replace(
             stored, success=not stored.success, failure_reason="tampered",
         )
-        JsonlRunCache(path).put(key, tampered, policy=policy_doc)
+        SqliteRunCache(path).put(key, tampered, policy=policy_doc)
         assert main(["cache", "verify", str(path)]) == 1
         out = capsys.readouterr().out
         assert "MISMATCH" in out

@@ -1,7 +1,7 @@
 """Tests for the persistent cross-campaign run cache.
 
-Covers the store itself (round-trip, torn-line tolerance, last-writer
-wins), its wiring into the probe engine (persistent hits counted
+Covers the store itself (round-trip, and the JSONL import's torn-line
+tolerance and last-writer-wins), its wiring into the probe engine (persistent hits counted
 separately, LRU promotion, determinism gating, reset survival), and
 the campaign-level behavior through ``LoupeSession(cache_path=...)``.
 """
@@ -13,7 +13,7 @@ import pytest
 
 from repro.api.session import AnalysisRequest, LoupeSession
 from repro.appsim.corpus import build
-from repro.core.cachestore import JsonlRunCache
+from repro.core.cachestore import SqliteRunCache, encode_record, migrate_store
 from repro.core.engine import EngineStats, ProbeEngine
 from repro.core.policy import stubbing
 from repro.core.runner import BackendCapabilities, ResourceUsage, RunResult
@@ -47,55 +47,47 @@ class TestRunResultSerialization:
 
 class TestRunCacheStore:
     def test_round_trip_across_instances(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        store = JsonlRunCache(path)
+        path = tmp_path / "runs.sqlite"
+        store = SqliteRunCache(path)
         assert store.get(KEY) is None
         store.put(KEY, _result())
         assert store.get(KEY) == _result()
-        reopened = JsonlRunCache(path)
+        reopened = SqliteRunCache(path)
         assert reopened.get(KEY) == _result()
         assert len(reopened) == 1
         assert reopened.loaded_records == 1
 
     def test_missing_file_is_empty(self, tmp_path):
-        store = JsonlRunCache(tmp_path / "nowhere" / "runs.jsonl")
-        assert len(store) == 0
-        store.put(KEY, _result())  # creates parent directories
-        assert JsonlRunCache(store.path).get(KEY) is not None
+        store = SqliteRunCache(tmp_path / "nowhere" / "runs.sqlite")
+        assert len(store) == 0  # parent directories created at open
+        store.put(KEY, _result())
+        assert SqliteRunCache(store.path).get(KEY) is not None
 
     def test_torn_final_line_tolerated(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        with JsonlRunCache(path) as store:
+        """A JSONL file whose writer was killed mid-append imports
+        every complete record."""
+        with SqliteRunCache(tmp_path / "runs.sqlite") as store:
             store.put(KEY, _result())
             store.put(KEY[:3] + (1,), _result(metric=200.0))
+        path = tmp_path / "runs.jsonl"
+        migrate_store(tmp_path / "runs.sqlite", path)
         with path.open("a", encoding="utf-8") as handle:
             handle.write('{"backend": "sim:app-1.0", "work')  # killed mid-append
-        survivor = JsonlRunCache(path)
+        assert migrate_store(path, tmp_path / "imported.sqlite") == 2
+        survivor = SqliteRunCache(tmp_path / "imported.sqlite")
         assert len(survivor) == 2
         assert survivor.get(KEY) == _result()
 
     def test_duplicate_key_last_writer_wins(self, tmp_path):
+        """A key written twice to a JSONL file imports its last
+        record."""
         path = tmp_path / "runs.jsonl"
-        store = JsonlRunCache(path)
-        store.put(KEY, _result(metric=1.0))
-        store.put(KEY, _result(metric=2.0))
-        assert JsonlRunCache(path).get(KEY).metric == 2.0
-
-    def test_identical_put_does_not_grow_file(self, tmp_path):
-        path = tmp_path / "runs.jsonl"
-        store = JsonlRunCache(path)
-        store.put(KEY, _result())
-        size = path.stat().st_size
-        store.put(KEY, _result())
-        assert path.stat().st_size == size
-
-    def test_close_idempotent_and_reopens(self, tmp_path):
-        store = JsonlRunCache(tmp_path / "runs.jsonl")
-        store.put(KEY, _result())
-        store.close()
-        store.close()
-        store.put(KEY[:3] + (1,), _result())  # reopens transparently
-        assert len(JsonlRunCache(store.path)) == 2
+        path.write_text("".join(
+            encode_record(KEY, _result(metric=metric)) + "\n"
+            for metric in (1.0, 2.0)
+        ))
+        assert migrate_store(path, tmp_path / "runs.sqlite") == 1
+        assert SqliteRunCache(tmp_path / "runs.sqlite").get(KEY).metric == 2.0
 
 
 class _CountingBackend:
@@ -115,7 +107,7 @@ class _CountingBackend:
 
 class TestEnginePersistence:
     def test_cold_engine_answers_from_store(self, tmp_path):
-        store = JsonlRunCache(tmp_path / "runs.jsonl")
+        store = SqliteRunCache(tmp_path / "runs.sqlite")
         workload = benchmark("b", "m")
         writer_backend = _CountingBackend()
         with ProbeEngine(store=store) as writer:
@@ -124,7 +116,7 @@ class TestEnginePersistence:
         assert writer.stats.persistent_hits == 0
 
         reader_backend = _CountingBackend()
-        with ProbeEngine(store=JsonlRunCache(store.path)) as reader:
+        with ProbeEngine(store=SqliteRunCache(store.path)) as reader:
             reader.run_replicas(reader_backend, workload, stubbing("close"), 3)
         assert reader_backend.calls == 0
         stats = reader.stats
@@ -135,13 +127,13 @@ class TestEnginePersistence:
         assert stats.persistent_hit_rate == pytest.approx(1.0)
 
     def test_lru_promotion_counts_disk_hit_once(self, tmp_path):
-        store = JsonlRunCache(tmp_path / "runs.jsonl")
+        store = SqliteRunCache(tmp_path / "runs.sqlite")
         workload = benchmark("b", "m")
         with ProbeEngine(store=store) as writer:
             writer.run(writer_backend := _CountingBackend(), workload,
                        stubbing("close"))
         assert writer_backend.calls == 1
-        with ProbeEngine(store=JsonlRunCache(store.path)) as reader:
+        with ProbeEngine(store=SqliteRunCache(store.path)) as reader:
             for _ in range(3):
                 reader.run(_CountingBackend(), workload, stubbing("close"))
         stats = reader.stats
@@ -154,15 +146,14 @@ class TestEnginePersistence:
             def capabilities(self):
                 return BackendCapabilities(parallel_safe=True)
 
-        store = JsonlRunCache(tmp_path / "runs.jsonl")
+        store = SqliteRunCache(tmp_path / "runs.sqlite")
         with ProbeEngine(store=store) as engine:
             engine.run_replicas(_Nondeterministic(), benchmark("b", "m"),
                                 stubbing("close"), 2)
         assert len(store) == 0
-        assert not store.path.exists()
 
     def test_reset_keeps_store(self, tmp_path):
-        store = JsonlRunCache(tmp_path / "runs.jsonl")
+        store = SqliteRunCache(tmp_path / "runs.sqlite")
         workload = benchmark("b", "m")
         with ProbeEngine(store=store) as engine:
             engine.run(_CountingBackend(), workload, stubbing("close"))
@@ -182,7 +173,7 @@ class TestEnginePersistence:
 
 class TestSessionCampaigns:
     def test_second_campaign_starts_warm(self, tmp_path):
-        path = str(tmp_path / "campaign.jsonl")
+        path = str(tmp_path / "campaign.sqlite")
         app = build("weborf")
 
         with LoupeSession(cache_path=path) as cold:
@@ -207,18 +198,18 @@ class TestSessionCampaigns:
         from repro.core.analyzer import Analyzer, AnalyzerConfig
         from repro.core.workload import health_check
 
-        path = str(tmp_path / "owned.jsonl")
+        path = str(tmp_path / "owned.sqlite")
         app = build("weborf")
         with Analyzer(AnalyzerConfig(run_cache=path)) as analyzer:
             analyzer.analyze(app.backend(), app.workload("health"))
             owned = analyzer._owned_store
             assert owned is not None
-        assert owned._handle is None  # closed with the analyzer
+        assert owned._conn is None  # closed with the analyzer
 
     def test_session_shares_store_for_config_override(self, tmp_path):
         from repro.core.analyzer import AnalyzerConfig
 
-        path = str(tmp_path / "override.jsonl")
+        path = str(tmp_path / "override.sqlite")
         override = AnalyzerConfig(run_cache=path)
         with LoupeSession() as session:
             for workload in ("health", "bench"):
@@ -227,7 +218,7 @@ class TestSessionCampaigns:
                     config=override,
                 )
             # One store per identity, shared by both analyses — not
-            # one full JSONL reload per analyzer.
+            # one connection per analyzer.
             from repro.core.cachestore import store_identity
 
             assert list(session._stores) == [store_identity(path)]
@@ -235,8 +226,8 @@ class TestSessionCampaigns:
     def test_per_call_run_cache_overrides_session_default(self, tmp_path):
         from repro.core.analyzer import AnalyzerConfig
 
-        default_path = str(tmp_path / "default.jsonl")
-        special_path = str(tmp_path / "special.jsonl")
+        default_path = str(tmp_path / "default.sqlite")
+        special_path = str(tmp_path / "special.sqlite")
         with LoupeSession(cache_path=default_path) as session:
             session.analyze(AnalysisRequest.for_app(build("weborf"), "health"))
             session.analyze(
@@ -244,18 +235,18 @@ class TestSessionCampaigns:
                 config=AnalyzerConfig(run_cache=special_path),
             )
         # The override went to its own file, the default to the other.
-        assert JsonlRunCache(default_path).loaded_records > 0
-        assert JsonlRunCache(special_path).loaded_records > 0
+        assert SqliteRunCache(default_path).loaded_records > 0
+        assert SqliteRunCache(special_path).loaded_records > 0
 
     def test_cache_off_rejects_persistent_store(self, tmp_path):
         from repro.core.analyzer import AnalyzerConfig
         from repro.core.engine import ProbeEngine
 
-        path = str(tmp_path / "contradiction.jsonl")
+        path = str(tmp_path / "contradiction.sqlite")
         with pytest.raises(ValueError, match="cache=True"):
             AnalyzerConfig(cache=False, run_cache=path)
         with pytest.raises(ValueError, match="cache=True"):
-            ProbeEngine(cache=False, store=JsonlRunCache(path))
+            ProbeEngine(cache=False, store=SqliteRunCache(path))
         from repro.cli import main
         assert main(["analyze", "--app", "weborf", "--workload", "health",
                      "--no-cache", "--run-cache", path]) == 2
@@ -263,7 +254,7 @@ class TestSessionCampaigns:
     def test_session_store_benched_by_cache_off_override(self, tmp_path):
         from repro.core.analyzer import AnalyzerConfig
 
-        path = str(tmp_path / "bench.jsonl")
+        path = str(tmp_path / "bench.sqlite")
         with LoupeSession(cache_path=path) as session:
             session.analyze(
                 AnalysisRequest.for_app(build("weborf"), "health"),
@@ -271,12 +262,12 @@ class TestSessionCampaigns:
             )
             stats = session.last_engine_stats
         assert stats.cache_hits == 0
-        assert not JsonlRunCache(path).loaded_records  # store not fed
+        assert not SqliteRunCache(path).loaded_records  # store not fed
 
     def test_cli_run_cache_flag(self, tmp_path, capsys):
         from repro.cli import main
 
-        path = str(tmp_path / "cli.jsonl")
+        path = str(tmp_path / "cli.sqlite")
         argv = ["analyze", "--app", "weborf", "--workload", "health",
                 "--run-cache", path]
         assert main(argv) == 0

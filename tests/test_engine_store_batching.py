@@ -16,7 +16,7 @@ import pytest
 from repro.appsim.backend import SimBackend
 from repro.appsim.behavior import abort, harmless, ignore
 from repro.appsim.program import SimProgram, SyscallOp, WorkloadProfile
-from repro.core.cachestore import JsonlRunCache
+from repro.core.cachestore import SqliteRunCache
 from repro.core.engine import ProbeEngine
 from repro.core.faults import (
     ChaosBackend,
@@ -57,10 +57,10 @@ def fleet():
 
 
 class _CountingStore:
-    """A JSONL store that records every call the engine makes on it."""
+    """A SQLite store that records every call the engine makes on it."""
 
     def __init__(self, path) -> None:
-        self.inner = JsonlRunCache(path)
+        self.inner = SqliteRunCache(path)
         self.calls: list[tuple[str, int]] = []
 
     def get_many(self, keys):
@@ -106,7 +106,7 @@ def _balanced(stats) -> bool:
 @pytest.mark.parametrize("executor", EXECUTORS)
 class TestOneRoundTripPerBatch:
     def test_cold_then_warm_batch(self, tmp_path, fleet, executor):
-        store = _CountingStore(tmp_path / "runs.jsonl")
+        store = _CountingStore(tmp_path / "runs.sqlite")
         with _engine(executor, fleet, store) as cold:
             outcomes = cold.run_probe_batch(
                 SimBackend(_PROGRAM), _WORKLOAD, _POLICIES, 3,
@@ -130,7 +130,7 @@ class TestOneRoundTripPerBatch:
         assert again == outcomes
 
     def test_lru_hits_are_not_looked_up(self, tmp_path, fleet, executor):
-        store = _CountingStore(tmp_path / "runs.jsonl")
+        store = _CountingStore(tmp_path / "runs.sqlite")
         with _engine(executor, fleet, store) as engine:
             backend = SimBackend(_PROGRAM)
             engine.run_probe_batch(
@@ -150,7 +150,7 @@ class TestOneRoundTripPerBatch:
 def test_prefetched_replica_skipped_by_early_exit_is_not_a_hit(
     tmp_path, fleet, executor
 ):
-    store = _CountingStore(tmp_path / "runs.jsonl")
+    store = _CountingStore(tmp_path / "runs.sqlite")
     failing = (stubbing("close"),)
     with _engine(executor, fleet, store) as warmer:
         warmer.run_probe_batch(
@@ -182,7 +182,7 @@ def test_failed_batch_still_persists_its_completed_runs(
         SimBackend(_PROGRAM),
         ChaosSpec(seed=1, error_features=frozenset({"prctl"})),
     )
-    store = _CountingStore(tmp_path / "runs.jsonl")
+    store = _CountingStore(tmp_path / "runs.sqlite")
     with _engine(
         executor, fleet, store,
         fault_policy=FaultPolicy(retries=1, retry_backoff_s=0.0),

@@ -20,6 +20,7 @@ from repro.api.registry import (
 from repro.api.session import LoupeSession
 from repro.cli import main
 from repro.core.analyzer import AnalyzerConfig
+from repro.core.cachestore import open_store
 from repro.errors import AnalysisCancelledError, LoupeError
 from repro.server import (
     CANCELLED,
@@ -620,7 +621,7 @@ class TestSigintHelper:
 
 class TestServerRunCache:
     def test_service_default_store_is_inherited_and_reported(self, tmp_path):
-        cache_path = tmp_path / "runs.jsonl"
+        cache_path = tmp_path / "runs.sqlite"
         with CampaignServer(
             tmp_path / "svc", workers=1, run_cache=str(cache_path)
         ) as server:
@@ -634,16 +635,20 @@ class TestServerRunCache:
             )
             assert spec_doc["run_cache"] == str(cache_path)
             stats = client.stats()
+            # The served handle reads through live: the job's commits
+            # show without a reopen, while loaded_records stays the
+            # count the server started with.
             assert stats["run_cache"]["entries"] > 0
-            assert stats["run_cache"]["kind"] == "jsonl"
+            assert stats["run_cache"]["loaded_records"] == 0
+            assert stats["run_cache"]["kind"] == "sqlite"
 
         # GET /stats embeds exactly the `loupe cache stats --json` shape.
         exit_code = main(["cache", "stats", str(cache_path), "--json"])
         assert exit_code == 0
 
     def test_explicit_spec_store_wins(self, tmp_path):
-        service_cache = tmp_path / "service.jsonl"
-        job_cache = tmp_path / "job.jsonl"
+        service_cache = tmp_path / "service.sqlite"
+        job_cache = tmp_path / "job.sqlite"
         with CampaignServer(
             tmp_path / "svc", workers=1, run_cache=str(service_cache)
         ) as server:
@@ -654,8 +659,10 @@ class TestServerRunCache:
             _wait_until(
                 lambda: client.job(meta["id"])["status"] in TERMINAL_STATES
             )
-        assert job_cache.exists()
-        assert not service_cache.exists()
+        with open_store(job_cache) as job, \
+                open_store(service_cache) as service:
+            assert len(job) > 0
+            assert len(service) == 0
 
 
 class TestCLIClients:
